@@ -74,7 +74,7 @@ class ConvDecoder(Module):
         hidden = hidden.reshape(z.shape[0], self.base_channels * 2, quarter, quarter)
         hidden = self.act(self.conv1(F.upsample_nearest(hidden, 2)))
         hidden = self.act(self.conv2(F.upsample_nearest(hidden, 2)))
-        return self.head(hidden).sigmoid()
+        return F.sigmoid(self.head(hidden))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Adam, Conv2d, Module, Sequential, SiLU, Tensor
+from ..nn import functional as F
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
 
@@ -39,7 +40,7 @@ class _DenoisingCNN(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.body(x).sigmoid()
+        return F.sigmoid(self.body(x))
 
 
 @dataclass

@@ -99,7 +99,7 @@ class TransformerBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))
-        hidden = self.mlp_in(self.norm2(x)).silu()
+        hidden = F.silu(self.mlp_in(self.norm2(x)))
         return x + self.mlp_out(hidden)
 
 

@@ -5,8 +5,8 @@
 
 * the hybrid training loss of Eq. (9):
   ``KL(q(x_{k-1}|x_k,x_0) || p_θ(x_{k-1}|x_k)) − λ log p_θ(x_0 | x_k)``,
-* ancestral sampling (Eq. 13) from the uniform stationary distribution down
-  to a fresh binary topology tensor.
+* the network wrappers the reverse process (Eq. 13) needs; the sampler that
+  walks it is :class:`repro.pipeline.SamplingEngine`.
 
 The state arrays handled here are integer tensors of shape ``(N, C, M, M)``
 where ``C`` is the deep-squish channel count and every entry is in
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm, no_grad
+from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm
 from ..nn import functional as F
 from ..utils import as_rng
 from .schedule import NoiseSchedule, linear_schedule
-from .transition import DiscreteTransitionModel, one_hot, sample_categorical
+from .transition import DiscreteTransitionModel, one_hot
 
 
 @dataclass
@@ -107,7 +107,7 @@ class DiscreteDiffusion:
     # ------------------------------------------------------------------ #
     # model wrappers
     # ------------------------------------------------------------------ #
-    def _model_input_array(self, xk: np.ndarray) -> np.ndarray:
+    def _model_input(self, xk: np.ndarray) -> np.ndarray:
         """One-hot encode ``x_k`` and flatten the state axis into channels.
 
         Encodes straight into the ``(N, C*S, M, M)`` layout the U-Net wants,
@@ -121,32 +121,25 @@ class DiscreteDiffusion:
         np.put_along_axis(encoded, xk[:, :, None, :, :], 1.0, axis=2)
         return encoded.reshape(batch, channels * num_states, height, width)
 
-    def _model_input(self, xk: np.ndarray) -> Tensor:
-        return Tensor(self._model_input_array(xk))
+    @staticmethod
+    def _timesteps(xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
+        return np.full(xk.shape[0], k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
 
     def predict_x0_logits(self, xk: np.ndarray, k: "int | np.ndarray") -> Tensor:
-        """Network forward pass: logits of ``p_θ(x_0 | x_k)``.
+        """Taped network forward pass: logits of ``p_θ(x_0 | x_k)``.
 
         Returns a tensor of shape ``(N, C, S, M, M)``.
         """
-        timesteps = np.full(xk.shape[0], k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
-        return self.model(self._model_input(xk), timesteps)
+        return self.model(Tensor(self._model_input(xk)), self._timesteps(xk, k))
 
-    def predict_x0_probs(
-        self, xk: np.ndarray, k: "int | np.ndarray", inference: bool = False
-    ) -> np.ndarray:
-        """Softmax of :meth:`predict_x0_logits` as a plain array.
+    def predict_x0_probs(self, xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
+        """``p_θ(x_0 | x_k)`` as a plain ``(N, C, S, M, M)`` array.
 
-        With ``inference=True`` the forward pass runs through the
-        gradient-free array kernels (:meth:`UNet.infer`): no tape, no Tensor
-        wrappers — the hot path of the batched sampling engine.
+        Runs the same forward as :meth:`predict_x0_logits` on plain arrays,
+        so no tape and no Tensor is built — the sampler's hot path.
         """
-        if inference:
-            timesteps = np.full(xk.shape[0], k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
-            logits = self.model.infer(self._model_input_array(xk), timesteps)
-            return F.softmax_array(logits, axis=2)
-        logits = self.predict_x0_logits(xk, k)
-        return F.softmax(logits, axis=2).numpy()
+        logits = self.model(self._model_input(xk), self._timesteps(xk, k))
+        return F.softmax(logits, axis=2)
 
     # ------------------------------------------------------------------ #
     # training loss (Eq. 9)
@@ -283,99 +276,6 @@ class DiscreteDiffusion:
             if callback is not None:
                 callback(iteration, metrics)
         return history
-
-    # ------------------------------------------------------------------ #
-    # sampling (Eq. 13)
-    # ------------------------------------------------------------------ #
-    def sample(
-        self,
-        num_samples: int,
-        rng: "int | np.random.Generator | None" = None,
-        return_chain: bool = False,
-        chain_stride: int = 1,
-        greedy_final: bool = True,
-        inference: bool = True,
-        batch_size: "int | None" = None,
-    ) -> "np.ndarray | tuple[np.ndarray, list[np.ndarray]]":
-        """Generate fresh topology tensors by reverse diffusion.
-
-        Returns an integer array of shape ``(num_samples, C, M, M)``; with
-        ``return_chain=True`` also the list of intermediate states (every
-        ``chain_stride`` steps, ending with the final sample) for Fig. 6.
-        ``greedy_final`` takes the mode of ``p_θ(x_0 | x_1)`` at the last step
-        instead of sampling it, which removes residual salt-and-pepper noise
-        (standard practice for discrete diffusion samplers).
-
-        ``inference=True`` (the default) runs the denoising network through
-        the gradient-free array kernels; ``inference=False`` keeps the taped
-        forward pass (useful for parity checks).  ``batch_size`` caps how
-        many samples are denoised per reverse pass: larger batches amortise
-        the per-step Python overhead, smaller ones bound peak memory.  For
-        chunk-*invariant* results under a shared seed use
-        :class:`repro.pipeline.SamplingEngine`, which seeds every sample
-        independently.
-        """
-        gen = as_rng(rng)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            chunk = num_samples if batch_size is None else max(1, int(batch_size))
-            finals: list[np.ndarray] = []
-            chains: list[list[np.ndarray]] = []
-            for start in range(0, num_samples, chunk):
-                count = min(chunk, num_samples - start)
-                final, chain = self._sample_chunk(
-                    count, gen, return_chain, chain_stride, greedy_final, inference
-                )
-                finals.append(final)
-                chains.append(chain)
-            xk = finals[0] if len(finals) == 1 else np.concatenate(finals, axis=0)
-        finally:
-            if was_training:
-                self.model.train()
-        if return_chain:
-            merged = [
-                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-                for parts in zip(*chains)
-            ]
-            return xk, merged
-        return xk
-
-    def _sample_chunk(
-        self,
-        num_samples: int,
-        gen: np.random.Generator,
-        return_chain: bool,
-        chain_stride: int,
-        greedy_final: bool,
-        inference: bool,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Denoise one batch of ``num_samples`` states from ``x_K`` to ``x_0``."""
-        cfg = self.model.config
-        shape = (num_samples, cfg.in_channels, cfg.image_size, cfg.image_size)
-        xk = self.transition.sample_stationary(shape, gen)
-        chain: list[np.ndarray] = [xk.copy()] if return_chain else []
-        with no_grad():
-            for step in range(self.config.num_steps, 0, -1):
-                probs_x0 = self.predict_x0_probs(xk, step, inference=inference)
-                probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
-                if step == 1:
-                    # p_theta(x_0 | x_1): emit the clean tensor directly.
-                    if greedy_final:
-                        xk = probs_x0.argmax(axis=-1).astype(np.int64)
-                        if return_chain:
-                            chain.append(xk.copy())
-                        break
-                    probs_prev = probs_x0
-                else:
-                    posterior_all = self.transition.posterior_probs_all_x0(xk, step)
-                    probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
-                xk = sample_categorical(probs_prev, gen)
-                if return_chain and (
-                    (self.config.num_steps - step) % chain_stride == 0 or step == 1
-                ):
-                    chain.append(xk.copy())
-        return xk, chain
 
     # ------------------------------------------------------------------ #
     # convenience constructors

@@ -101,23 +101,25 @@ class Module:
 
     # -- call ------------------------------------------------------------ #
     def forward(self, *args, **kwargs):
+        """The layer's one forward pass.
+
+        Built from :mod:`repro.nn.functional` operators, so it runs on plain
+        arrays (no tape, see :meth:`infer`) and on tensors (taped) alike.
+        """
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    # -- inference -------------------------------------------------------- #
     def infer(self, *args, **kwargs):
-        """Gradient-free array-in / array-out forward pass.
+        """Tape-free forward pass: :meth:`forward` on plain arrays under no_grad.
 
-        The generic fallback wraps array arguments in constant tensors and
-        runs :meth:`forward` under :func:`~repro.nn.tensor.no_grad`, so every
-        module has a tape-free path.  Hot-path layers override this with a
-        pure-NumPy kernel that skips the Tensor machinery entirely.
+        Arrays in give arrays out, computed by the same kernels as the taped
+        forward.  A layer whose output is a tensor whatever its input (the
+        :class:`Embedding` lookup) is unwrapped to its array.
         """
         with no_grad():
-            wrapped = [Tensor(a) if isinstance(a, np.ndarray) else a for a in args]
-            out = self.forward(*wrapped, **kwargs)
+            out = self.forward(*args, **kwargs)
         return out.data if isinstance(out, Tensor) else out
 
 
@@ -135,19 +137,11 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.infer(x)
-        return x
-
 
 class Identity(Module):
     """No-op layer (used for optional skip projections)."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
         return x
 
 
@@ -177,9 +171,6 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.linear_array(x, self.weight.data, None if self.bias is None else self.bias.data)
 
 
 class Conv2d(Module):
@@ -218,15 +209,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.conv2d_array(
-            x,
-            self.weight.data,
-            None if self.bias is None else self.bias.data,
-            stride=self.stride,
-            padding=self.padding,
-        )
-
 
 class GroupNorm(Module):
     """Group normalisation with learnable scale/shift."""
@@ -246,9 +228,6 @@ class GroupNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.group_norm(x, self.num_groups, self.weight, self.bias, eps=self.eps)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.group_norm_array(x, self.num_groups, self.weight.data, self.bias.data, eps=self.eps)
-
 
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""
@@ -263,9 +242,6 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.layer_norm_array(x, self.weight.data, self.bias.data, eps=self.eps)
-
 
 class Dropout(Module):
     """Inverted dropout driven by an explicit generator for reproducibility."""
@@ -277,10 +253,6 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.rate, self._rng, training=self.training)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Inference never drops units: identity regardless of training mode.
-        return x
 
 
 class Embedding(Module):
@@ -309,23 +281,14 @@ class SiLU(Module):
     """The SiLU / swish activation used throughout the U-Net."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.silu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.silu_array(x)
+        return F.silu(x)
 
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+        return F.relu(x)
 
 
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
+        return F.sigmoid(x)

@@ -128,12 +128,13 @@ class Tensor:
     def _ensure(value: "Tensor | np.ndarray | float | int") -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
+    @staticmethod
     def _make(
-        self,
         data: np.ndarray,
         parents: tuple["Tensor", ...],
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
+        """Wrap ``data`` as an op result, on the tape if any parent needs grad."""
         requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
         return Tensor(
             data,
@@ -278,40 +279,11 @@ class Tensor:
 
         return self._make(out_data, (self,), backward_fn)
 
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward_fn)
-
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data**2))
-
-        return self._make(out_data, (self,), backward_fn)
-
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(_DTYPE)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return self._make(self.data * mask, (self,), backward_fn)
-
-    def silu(self) -> "Tensor":
-        """x * sigmoid(x), the activation used by DDPM U-Nets."""
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * sig
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * (sig + self.data * sig * (1.0 - sig)))
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -428,10 +400,12 @@ def randn(
     )
 
 
-def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    datas = [t.data for t in tensors]
+def concatenate(tensors: list, axis: int = 0):
+    """Concatenate along ``axis``: arrays in give an array, tensors a taped result."""
+    datas = [t.data if isinstance(t, Tensor) else t for t in tensors]
     out_data = np.concatenate(datas, axis=axis)
+    if not isinstance(tensors[0], Tensor):
+        return out_data
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
 
@@ -441,13 +415,7 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
             index[axis] = slice(start, end)
             t._accumulate(grad[tuple(index)])
 
-    requires = _GRAD_ENABLED[0] and any(t.requires_grad for t in tensors)
-    return Tensor(
-        out_data,
-        requires_grad=requires,
-        _parents=tuple(tensors) if requires else (),
-        _backward_fn=backward_fn if requires else None,
-    )
+    return Tensor._make(out_data, tuple(tensors), backward_fn)
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -459,10 +427,4 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, slices):
             t._accumulate(np.squeeze(piece, axis=axis))
 
-    requires = _GRAD_ENABLED[0] and any(t.requires_grad for t in tensors)
-    return Tensor(
-        out_data,
-        requires_grad=requires,
-        _parents=tuple(tensors) if requires else (),
-        _backward_fn=backward_fn if requires else None,
-    )
+    return Tensor._make(out_data, tuple(tensors), backward_fn)

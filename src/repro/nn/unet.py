@@ -37,15 +37,9 @@ class TimestepEmbedding(Module):
         self.dense_in = Linear(model_channels, embed_dim, rng=rng)
         self.dense_out = Linear(embed_dim, embed_dim, rng=rng)
 
-    def forward(self, timesteps: np.ndarray) -> Tensor:
-        base = F.sinusoidal_embedding(timesteps, self.model_channels)
-        hidden = self.dense_in(Tensor(base)).silu()
-        return self.dense_out(hidden).silu()
-
-    def infer(self, timesteps: np.ndarray) -> np.ndarray:
-        base = F.sinusoidal_embedding(timesteps, self.model_channels)
-        hidden = F.silu_array(self.dense_in.infer(base))
-        return F.silu_array(self.dense_out.infer(hidden))
+    def forward(self, features: "Tensor | np.ndarray") -> "Tensor | np.ndarray":
+        """Embed ``(N, model_channels)`` sinusoidal timestep features."""
+        return F.silu(self.dense_out(F.silu(self.dense_in(features))))
 
 
 class ResidualBlock(Module):
@@ -72,21 +66,12 @@ class ResidualBlock(Module):
             self.skip = Identity()
 
     def forward(self, x: Tensor, time_emb: Tensor) -> Tensor:
-        hidden = self.conv1(self.norm1(x).silu())
-        time_term = self.time_proj(time_emb.silu())
+        hidden = self.conv1(F.silu(self.norm1(x)))
+        time_term = self.time_proj(F.silu(time_emb))
         batch, channels = time_term.shape
         hidden = hidden + time_term.reshape(batch, channels, 1, 1)
-        hidden = self.conv2(self.dropout(self.norm2(hidden).silu()))
+        hidden = self.conv2(self.dropout(F.silu(self.norm2(hidden))))
         return hidden + self.skip(x)
-
-    def infer(self, x: np.ndarray, time_emb: np.ndarray) -> np.ndarray:
-        hidden = self.conv1.infer(F.silu_array(self.norm1.infer(x)))
-        time_term = self.time_proj.infer(F.silu_array(time_emb))
-        batch, channels = time_term.shape
-        hidden += time_term.reshape(batch, channels, 1, 1)
-        hidden = self.conv2.infer(F.silu_array(self.norm2.infer(hidden)))
-        hidden += self.skip.infer(x)
-        return hidden
 
 
 class SelfAttention2d(Module):
@@ -106,24 +91,13 @@ class SelfAttention2d(Module):
         q = qkv_flat[:, 0]
         k = qkv_flat[:, 1]
         v = qkv_flat[:, 2]
-        scale = 1.0 / np.sqrt(channels)
+        # A float32 scalar keeps array-mode scores float32 (a float64 scalar
+        # would promote them).
+        scale = np.float32(1.0 / np.sqrt(channels))
         attn = F.softmax((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
         out = v @ attn.transpose(0, 2, 1)
         out = out.reshape(batch, channels, height, width)
         return x + self.proj(out)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        qkv = self.qkv.infer(self.norm.infer(x))
-        qkv_flat = qkv.reshape(batch, 3, channels, height * width)
-        q = qkv_flat[:, 0]
-        k = qkv_flat[:, 1]
-        v = qkv_flat[:, 2]
-        scale = np.float32(1.0 / np.sqrt(channels))
-        attn = F.softmax_array((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
-        out = v @ attn.transpose(0, 2, 1)
-        out = out.reshape(batch, channels, height, width)
-        return x + self.proj.infer(out)
 
 
 class Downsample(Module):
@@ -136,9 +110,6 @@ class Downsample(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.conv(x)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.conv.infer(x)
-
 
 class Upsample(Module):
     """Nearest-neighbour upsample followed by a 3x3 convolution."""
@@ -149,9 +120,6 @@ class Upsample(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.conv(F.upsample_nearest(x, 2))
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.conv.infer(F.upsample_nearest_array(x, 2))
 
 
 @dataclass
@@ -269,16 +237,24 @@ class UNet(Module):
         setattr(self, name, module)
         self.up_blocks.append((kind, module))
 
-    # -- forward ----------------------------------------------------------- #
+    # -- forward ---------------------------------------------------------- #
     def forward(
-        self, x_onehot: "Tensor | np.ndarray", timesteps: np.ndarray, inference: bool = False
-    ) -> Tensor:
-        if inference:
-            data = x_onehot.data if isinstance(x_onehot, Tensor) else np.asarray(x_onehot)
-            return Tensor(self.infer(data, timesteps))
+        self, x_onehot: "Tensor | np.ndarray", timesteps: np.ndarray
+    ) -> "Tensor | np.ndarray":
+        """Logits of ``p_theta(x_0 | x_k)``; arrays in give an array, no tape."""
         config = self.config
         batch = x_onehot.shape[0]
-        time_emb = self.time_embedding(timesteps)
+        steps = np.asarray(timesteps).reshape(-1)
+        if steps.size > 1 and np.all(steps == steps[0]):
+            # Reverse diffusion feeds the whole batch the same timestep.  A
+            # single-row embedding broadcast over the batch is cheaper AND
+            # keeps per-sample results bitwise independent of the batch size
+            # (BLAS picks different kernels for 1-row and N-row matmuls).
+            steps = steps[:1]
+        features = F.sinusoidal_embedding(steps, config.model_channels)
+        if isinstance(x_onehot, Tensor):
+            features = Tensor(features)  # keeps the embedding MLP on the tape
+        time_emb = self.time_embedding(features)
 
         hidden = self.conv_in(x_onehot)
         skips = [hidden]
@@ -306,59 +282,7 @@ class UNet(Module):
             else:  # upsample
                 hidden = module(hidden)
 
-        out = self.conv_out(self.norm_out(hidden).silu())
-        return out.reshape(
-            batch, config.in_channels, config.num_classes, config.image_size, config.image_size
-        )
-
-    # -- inference ---------------------------------------------------------- #
-    def infer(self, x_onehot: np.ndarray, timesteps: np.ndarray) -> np.ndarray:
-        """Gradient-free forward pass on plain arrays (the sampling hot path).
-
-        Mirrors :meth:`forward` operation by operation but never touches the
-        autodiff tape: dropout is skipped, all intermediates are raw float32
-        arrays, and convolutions run through the matmul-based array kernels.
-        """
-        config = self.config
-        x = np.ascontiguousarray(x_onehot, dtype=np.float32)
-        batch = x.shape[0]
-        steps = np.asarray(timesteps).reshape(-1)
-        if steps.size > 1 and np.all(steps == steps[0]):
-            # Reverse diffusion feeds the whole batch the same timestep.  A
-            # single-row embedding broadcast over the batch is cheaper AND
-            # keeps per-sample results bitwise independent of the batch size
-            # (BLAS picks different kernels for 1-row and N-row matmuls).
-            time_emb = self.time_embedding.infer(steps[:1])
-        else:
-            time_emb = self.time_embedding.infer(steps)
-
-        hidden = self.conv_in.infer(x)
-        skips = [hidden]
-        for kind, module in self.down_blocks:
-            if kind == "res":
-                hidden = module.infer(hidden, time_emb)
-                skips.append(hidden)
-            elif kind == "attn":
-                hidden = module.infer(hidden)
-                skips[-1] = hidden
-            else:  # downsample
-                hidden = module.infer(hidden)
-                skips.append(hidden)
-
-        hidden = self.mid_block1.infer(hidden, time_emb)
-        hidden = self.mid_attn.infer(hidden)
-        hidden = self.mid_block2.infer(hidden, time_emb)
-
-        for kind, module in self.up_blocks:
-            if kind == "res":
-                skip = skips.pop()
-                hidden = module.infer(np.concatenate([hidden, skip], axis=1), time_emb)
-            elif kind == "attn":
-                hidden = module.infer(hidden)
-            else:  # upsample
-                hidden = module.infer(hidden)
-
-        out = self.conv_out.infer(F.silu_array(self.norm_out.infer(hidden)))
+        out = self.conv_out(F.silu(self.norm_out(hidden)))
         return out.reshape(
             batch, config.in_channels, config.num_classes, config.image_size, config.image_size
         )

@@ -1,22 +1,22 @@
-"""Batched, gradient-free inference engine for topology-tensor sampling.
+"""Batched, tape-free reverse-diffusion sampler for topology tensors.
 
 :class:`SamplingEngine` is the single entry point the pipeline, the Table II
 efficiency harness and the benchmark scripts use to draw topology tensors
-from a trained :class:`~repro.diffusion.DiscreteDiffusion` model.  It differs
-from calling ``DiscreteDiffusion.sample`` directly in three ways:
+from a trained :class:`~repro.diffusion.DiscreteDiffusion` model:
 
-* **Gradient-free batched hot path** — every denoising step runs the whole
-  chunk through ``UNet.infer`` (raw float32 arrays, no autodiff tape) and
-  mixes the predicted ``p_θ(x_0 | x_k)`` with cached posterior transition
-  tables, so the per-step cost is a handful of large NumPy kernels instead of
-  thousands of small taped operations.
+* **Tape-free batched hot path** — every denoising step runs the whole
+  chunk through the U-Net's one forward pass on plain float32 arrays (arrays
+  in, so no autodiff tape and no Tensor is built) and mixes the predicted
+  ``p_θ(x_0 | x_k)`` with cached posterior transition tables, so the
+  per-step cost is a handful of large NumPy kernels.  Training runs the
+  same kernels on tensors, so the sampled model is the trained model, bit
+  for bit.
 
 * **Chunk-invariant determinism** — every sample index owns an independent
   random stream seeded from ``(seed, index)``.  The result of drawing sample
   ``i`` is therefore bitwise identical whether it is generated alone, inside
-  a batch of 8, or as part of chunk 3 of a thousand-sample run.  Batched
-  output is element-wise equal to the sequential sampler under the same seed,
-  which is what the parity tests assert.
+  a batch of 8, or as part of chunk 3 of a thousand-sample run, which is
+  what the parity tests assert.
 
 * **Per-phase throughput accounting** — the engine reports how long was
   spent in the network (``model``) versus the categorical mixing / RNG work
@@ -42,7 +42,6 @@ import numpy as np
 
 from ..diffusion import DiscreteDiffusion, RespacedSchedule
 from ..diffusion.transition import categorical_from_uniforms
-from ..nn import no_grad
 from ..utils import resolve_seed
 
 __all__ = ["SamplingEngine", "SamplingReport", "resolve_seed"]
@@ -141,7 +140,7 @@ class _ChainRecorder:
 
 
 class SamplingEngine:
-    """Chunked, deterministic, gradient-free reverse-diffusion sampler.
+    """Chunked, deterministic, tape-free reverse-diffusion sampler.
 
     Parameters
     ----------
@@ -150,9 +149,6 @@ class SamplingEngine:
     batch_size:
         Samples denoised per reverse pass; a pure memory/throughput knob
         (per-index seeding keeps the output identical for any value).
-    inference:
-        ``False`` routes the network through the taped forward pass —
-        slower, used only to cross-check the array kernels.
     steps:
         Denoising steps to walk per sample.  ``None`` (default) walks the
         full trained chain; a smaller value samples the evenly respaced
@@ -176,7 +172,6 @@ class SamplingEngine:
         self,
         diffusion: DiscreteDiffusion,
         batch_size: int = 32,
-        inference: bool = True,
         steps: "int | None" = None,
         schedule: "RespacedSchedule | None" = None,
     ) -> None:
@@ -193,9 +188,6 @@ class SamplingEngine:
             schedule = RespacedSchedule(diffusion.transition, steps=steps)
         self.diffusion = diffusion
         self.batch_size = int(batch_size)
-        #: ``False`` routes the network through the taped forward pass —
-        #: slower, used only to cross-check the array kernels.
-        self.inference = inference
         #: The reverse-sampling schedule every run walks (full chain when no
         #: ``steps`` was given).
         self.schedule = schedule
@@ -379,41 +371,38 @@ class SamplingEngine:
             recorder = _ChainRecorder(stride=recorder_stride, num_steps=schedule.chain_steps)
             recorder.record_initial(xk)
 
-        # no_grad also covers the inference=False cross-check path, which
-        # would otherwise build a full autodiff tape every denoising step.
-        with no_grad():
-            for cur, prev in schedule.jumps:
-                tic = time.perf_counter()
-                probs_x0 = diffusion.predict_x0_probs(xk, cur, inference=self.inference)
-                report.model_seconds += time.perf_counter() - tic
-                report.model_evals += 1
+        for cur, prev in schedule.jumps:
+            tic = time.perf_counter()
+            probs_x0 = diffusion.predict_x0_probs(xk, cur)
+            report.model_seconds += time.perf_counter() - tic
+            report.model_evals += 1
 
-                tic = time.perf_counter()
-                probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
-                if prev == 0 and greedy_final:
-                    xk = probs_x0.argmax(axis=-1).astype(np.int64)
-                    report.mixing_seconds += time.perf_counter() - tic
-                    if recorder is not None:
-                        recorder.record_final(xk)
-                    break
-                if prev == 0:
-                    # q(x_0 | x_cur, x_0 = i) is the delta at i, so the
-                    # mixture collapses to the model posterior itself.
-                    probs_prev = probs_x0
-                else:
-                    posterior_all = schedule.posterior_table(cur, prev, dtype=np.float32)[xk]
-                    if posterior_all.shape[-1] == 2:
-                        # Binary topologies: writing out the 2-state mixture is
-                        # cheaper than dispatching einsum every step.
-                        probs_prev = probs_x0[..., 0, None] * posterior_all[..., 0, :]
-                        probs_prev += probs_x0[..., 1, None] * posterior_all[..., 1, :]
-                    else:
-                        probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
-                uniforms = np.stack([g.random(sample_shape) for g in gens], axis=0)
-                xk = categorical_from_uniforms(probs_prev, uniforms)
+            tic = time.perf_counter()
+            probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
+            if prev == 0 and greedy_final:
+                xk = probs_x0.argmax(axis=-1).astype(np.int64)
                 report.mixing_seconds += time.perf_counter() - tic
                 if recorder is not None:
-                    recorder.maybe_record(xk, cur)
+                    recorder.record_final(xk)
+                break
+            if prev == 0:
+                # q(x_0 | x_cur, x_0 = i) is the delta at i, so the
+                # mixture collapses to the model posterior itself.
+                probs_prev = probs_x0
+            else:
+                posterior_all = schedule.posterior_table(cur, prev, dtype=np.float32)[xk]
+                if posterior_all.shape[-1] == 2:
+                    # Binary topologies: writing out the 2-state mixture is
+                    # cheaper than dispatching einsum every step.
+                    probs_prev = probs_x0[..., 0, None] * posterior_all[..., 0, :]
+                    probs_prev += probs_x0[..., 1, None] * posterior_all[..., 1, :]
+                else:
+                    probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
+            uniforms = np.stack([g.random(sample_shape) for g in gens], axis=0)
+            xk = categorical_from_uniforms(probs_prev, uniforms)
+            report.mixing_seconds += time.perf_counter() - tic
+            if recorder is not None:
+                recorder.maybe_record(xk, cur)
 
         finals.append(xk)
         return recorder.states if recorder is not None else []

@@ -39,36 +39,51 @@ class TestConv2d:
         with pytest.raises(ValueError):
             F.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 4, 3, 3))))
 
-    def test_gradients_match_finite_differences(self):
+
+#: op name -> (function of its array/tensor inputs, input shapes).  The
+#: hand-written backward passes: each is checked against finite differences.
+GRADIENT_CASES = {
+    "conv2d": (
+        lambda x, w, b: F.conv2d(x, w, b, stride=1, padding=1),
+        [(1, 2, 4, 4), (2, 2, 3, 3), (2,)],
+    ),
+    "group_norm": (lambda x, w, b: F.group_norm(x, 2, w, b), [(2, 4, 3, 3), (4,), (4,)]),
+    "layer_norm": (F.layer_norm, [(3, 5), (5,), (5,)]),
+    "softmax": (F.softmax, [(3, 4)]),
+    "silu": (F.silu, [(2, 5)]),
+}
+
+
+class TestGradients:
+    @pytest.mark.parametrize("op", sorted(GRADIENT_CASES))
+    def test_gradients_match_finite_differences(self, op):
+        fn, shapes = GRADIENT_CASES[op]
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 4, 4)).astype(np.float64)
-        w = rng.normal(size=(2, 2, 3, 3)).astype(np.float64)
-        b = rng.normal(size=(2,)).astype(np.float64)
+        inputs = [rng.normal(size=shape) for shape in shapes]
+        # A random probe makes the loss a generic vector-Jacobian product
+        # (a plain sum would give softmax a zero gradient).
+        probe = rng.normal(size=fn(*inputs).shape)
 
-        def loss_value(xv, wv, bv):
-            out = F.conv2d(Tensor(xv.astype(np.float32)), Tensor(wv.astype(np.float32)),
-                           Tensor(bv.astype(np.float32)), stride=1, padding=1)
-            return float((out.numpy() ** 2).sum())
+        def loss_value():
+            # Arrays in: the same kernel runs untaped, here in float64.
+            return float((fn(*inputs) * probe).sum())
 
-        xt = Tensor(x.astype(np.float32), requires_grad=True)
-        wt = Tensor(w.astype(np.float32), requires_grad=True)
-        bt = Tensor(b.astype(np.float32), requires_grad=True)
-        out = F.conv2d(xt, wt, bt, stride=1, padding=1)
-        (out * out).sum().backward()
+        tensors = [Tensor(a.astype(np.float32), requires_grad=True) for a in inputs]
+        (fn(*tensors) * Tensor(probe)).sum().backward()
 
         eps = 1e-3
-        for target, grad in ((x, xt.grad), (w, wt.grad), (b, bt.grad)):
+        for target, tensor in zip(inputs, tensors):
             flat = target.reshape(-1)
             numeric = np.zeros_like(flat)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                plus = loss_value(x, w, b)
+                plus = loss_value()
                 flat[i] = orig - eps
-                minus = loss_value(x, w, b)
+                minus = loss_value()
                 flat[i] = orig
                 numeric[i] = (plus - minus) / (2 * eps)
-            np.testing.assert_allclose(grad.reshape(-1), numeric, rtol=5e-2, atol=5e-2)
+            np.testing.assert_allclose(tensor.grad.reshape(-1), numeric, rtol=1e-3, atol=1e-3)
 
 
 class TestPoolingAndUpsampling:

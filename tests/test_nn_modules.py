@@ -15,12 +15,24 @@ from repro.nn import (
     Linear,
     Module,
     Parameter,
+    ReLU,
     Sequential,
+    Sigmoid,
     SiLU,
     Tensor,
+    UNet,
+    UNetConfig,
     clip_grad_norm,
     load_checkpoint,
     save_checkpoint,
+)
+from repro.nn import functional as F
+from repro.nn.unet import (
+    Downsample,
+    ResidualBlock,
+    SelfAttention2d,
+    TimestepEmbedding,
+    Upsample,
 )
 
 
@@ -229,3 +241,110 @@ class TestTraining:
             loss.backward()
             opt.step()
         assert loss.item() < first_loss * 0.2
+
+
+# --------------------------------------------------------------------------- #
+# one forward per layer: the taped and the array forward are the same kernels
+# --------------------------------------------------------------------------- #
+def _tiny_unet_config(dropout=0.0):
+    return UNetConfig(
+        in_channels=2, num_classes=2, image_size=8, model_channels=8, channel_mult=(1, 2),
+        num_res_blocks=1, attention_resolutions=(4,), dropout=dropout, seed=0,
+    )
+
+
+def _normal(*shape):
+    return np.random.default_rng(7).normal(size=shape).astype(np.float32)
+
+
+#: case id -> (factory(rng) building the layer, factory() building its inputs).
+#: Float inputs are activations (wrapped in a Tensor for the taped call);
+#: integer inputs (token ids, timesteps) are passed as they are.
+LAYER_CASES = {
+    "Linear": (lambda rng: Linear(5, 3, rng=rng), lambda: [_normal(4, 5)]),
+    "Conv2d": (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), lambda: [_normal(2, 3, 6, 6)]),
+    "Conv2d-stride2": (
+        lambda rng: Conv2d(3, 4, 3, stride=2, padding=1, rng=rng),
+        lambda: [_normal(2, 3, 6, 6)],
+    ),
+    "Conv2d-1x1": (lambda rng: Conv2d(3, 4, 1, rng=rng), lambda: [_normal(2, 3, 5, 5)]),
+    "GroupNorm": (lambda rng: GroupNorm(2, 4), lambda: [_normal(2, 4, 3, 3) * 3.0 + 1.0]),
+    "LayerNorm": (lambda rng: LayerNorm(6), lambda: [_normal(2, 5, 6) * 2.0 - 1.0]),
+    "Dropout-train": (lambda rng: Dropout(0.5, rng=rng), lambda: [_normal(3, 8)]),
+    "Embedding": (
+        lambda rng: Embedding(10, 4, rng=rng),
+        lambda: [np.array([[1, 2], [9, 0]])],
+    ),
+    "Identity": (lambda rng: Identity(), lambda: [_normal(2, 3)]),
+    "SiLU": (lambda rng: SiLU(), lambda: [_normal(4, 5) * 4.0]),
+    "ReLU": (lambda rng: ReLU(), lambda: [_normal(4, 5)]),
+    "Sigmoid": (lambda rng: Sigmoid(), lambda: [_normal(4, 5) * 4.0]),
+    "Sequential": (
+        lambda rng: Sequential(Linear(5, 6, rng=rng), SiLU(), Linear(6, 2, rng=rng)),
+        lambda: [_normal(3, 5)],
+    ),
+    "TimestepEmbedding": (
+        lambda rng: TimestepEmbedding(8, 16, rng),
+        lambda: [F.sinusoidal_embedding(np.array([1, 4, 7]), 8)],
+    ),
+    "ResidualBlock": (
+        lambda rng: ResidualBlock(4, 8, 16, 0.0, rng),
+        lambda: [_normal(2, 4, 6, 6), _normal(2, 16)],
+    ),
+    "SelfAttention2d": (lambda rng: SelfAttention2d(8, rng), lambda: [_normal(2, 8, 4, 4)]),
+    "Downsample": (lambda rng: Downsample(4, rng), lambda: [_normal(2, 4, 6, 6)]),
+    "Upsample": (lambda rng: Upsample(4, rng), lambda: [_normal(2, 4, 3, 3)]),
+    "UNet": (
+        lambda rng: UNet(_tiny_unet_config()),
+        lambda: [_normal(3, 4, 8, 8), np.array([5, 5, 5])],
+    ),
+    "UNet-mixed-steps-dropout-train": (
+        lambda rng: UNet(_tiny_unet_config(dropout=0.3)),
+        lambda: [_normal(3, 4, 8, 8), np.array([1, 5, 2])],
+    ),
+}
+
+
+def _build(case):
+    make_layer, make_inputs = LAYER_CASES[case]
+    return make_layer(np.random.default_rng(0)), make_inputs()
+
+
+class TestOneForward:
+    @pytest.mark.parametrize("case", sorted(LAYER_CASES))
+    def test_taped_forward_equals_infer_exactly(self, case):
+        # Two identically seeded layers, so a train-mode Dropout draws the
+        # same mask on both calls.
+        layer, inputs = _build(case)
+        taped = layer(*[Tensor(a) if a.dtype.kind == "f" else a for a in inputs])
+        layer, inputs = _build(case)
+        inferred = layer.infer(*inputs)
+        assert isinstance(taped, Tensor)
+        assert type(inferred) is np.ndarray
+        np.testing.assert_array_equal(taped.data, inferred)
+
+    def test_every_layer_class_is_covered(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        layer_classes = {
+            cls for cls in subclasses(Module) if cls.__module__.startswith("repro.nn.")
+        }
+        covered = {type(_build(case)[0]) for case in LAYER_CASES}
+        assert layer_classes <= covered, sorted(c.__name__ for c in layer_classes - covered)
+
+    def test_array_forward_builds_no_tensor(self, monkeypatch):
+        layer, (x, timesteps) = _build("UNet")
+        built = []
+        original = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        out = layer(x, timesteps)
+        assert type(out) is np.ndarray
+        assert built == []

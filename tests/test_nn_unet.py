@@ -40,7 +40,7 @@ class TestHelpers:
 
     def test_timestep_embedding_shape(self):
         emb = TimestepEmbedding(8, 32, np.random.default_rng(0))
-        out = emb(np.array([1, 5, 9]))
+        out = emb(F.sinusoidal_embedding(np.array([1, 5, 9]), 8))
         assert out.shape == (3, 32)
 
     def test_residual_block_preserves_spatial_shape(self):
