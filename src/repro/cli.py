@@ -91,13 +91,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "slsqp = full solve, bit-identical to the historical solver)",
     )
     parser.add_argument(
-        "--batch-solve", choices=("on", "off"), default=None,
-        help="override engine.batch_solve (on = cross-topology batched "
-        "legalization: whole-chunk repair sweeps + block-diagonal SLSQP "
-        "tail; off = serial per-topology reference path; bit-identical "
-        "output either way)",
-    )
-    parser.add_argument(
         "--steps", type=int, default=None, metavar="N",
         help="override sampling.steps: denoising steps per sample on the "
         "evenly respaced chain (0 = full trained chain; fewer steps = "
@@ -287,7 +280,6 @@ def knob_overrides(
     workers: "int | None" = None,
     chunk_size: "int | None" = None,
     solver_mode: "str | None" = None,
-    batch_solve: "bool | None" = None,
     steps: "int | None" = None,
     stream: "bool | None" = None,
     dedup: bool = False,
@@ -312,8 +304,6 @@ def knob_overrides(
         engine["stream_chunk_size"] = chunk_size
     if solver_mode is not None:
         engine["solver_mode"] = solver_mode
-    if batch_solve is not None:
-        engine["batch_solve"] = batch_solve
     sampling = {}
     if steps is not None:
         # 0 keeps the TOML convention: "no null literal" -> full chain.
@@ -352,7 +342,6 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         workers=args.workers,
         chunk_size=args.chunk_size,
         solver_mode=args.solver_mode,
-        batch_solve=None if args.batch_solve is None else args.batch_solve == "on",
         steps=args.steps,
         stream=False if args.batch else None,
         dedup=args.dedup,

@@ -74,7 +74,14 @@ class DesignRuleChecker:
     # ------------------------------------------------------------------ #
     def check_pattern(self, pattern: SquishPattern) -> DRCReport:
         """Check a squish pattern (canonicalised first so runs are maximal)."""
-        canonical = canonicalize(pattern)
+        return self.check_canonical(canonicalize(pattern))
+
+    def check_canonical(self, canonical: SquishPattern) -> DRCReport:
+        """Check a pattern already in canonical form (see :func:`canonicalize`).
+
+        Runs are only maximal on the canonical grid; a pattern that still has
+        mergeable rows or columns can report false width/space violations.
+        """
         return self._check_grid(canonical.topology, canonical.delta_x, canonical.delta_y)
 
     def check_layout(self, layout: Layout) -> DRCReport:
@@ -92,7 +99,9 @@ class DesignRuleChecker:
     # batched checking
     # ------------------------------------------------------------------ #
     def check_batch(
-        self, patterns: "list[SquishPattern] | list[Layout]"
+        self,
+        patterns: "list[SquishPattern] | list[Layout]",
+        canonical: bool = False,
     ) -> list[DRCReport]:
         """Check a whole pattern library; one report per pattern, in order.
 
@@ -100,22 +109,31 @@ class DesignRuleChecker:
         (every Table I row, every legalisation run), so this is the
         canonical entry point for library-level checking — callers get the
         verdicts in one call (see :meth:`legality_mask` /
-        :meth:`legal_subset`) instead of hand-rolled loops.
+        :meth:`legal_subset`) instead of hand-rolled loops.  With
+        ``canonical=True`` the squish patterns are taken to be in canonical
+        form already (the generation graph canonicalises each pattern once
+        and shares the result) and are not canonicalised again.
         """
+        check = self.check_canonical if canonical else self.check_pattern
         reports: list[DRCReport] = []
         for pattern in patterns:
             if isinstance(pattern, SquishPattern):
-                reports.append(self.check_pattern(pattern))
+                reports.append(check(pattern))
             else:
                 reports.append(self.check_layout(pattern))
         return reports
 
     def legality_mask(
-        self, patterns: "list[SquishPattern] | list[Layout]"
+        self,
+        patterns: "list[SquishPattern] | list[Layout]",
+        canonical: bool = False,
     ) -> np.ndarray:
-        """Boolean verdict per pattern (``True`` = DRC-clean), batch order."""
+        """Boolean verdict per pattern (``True`` = DRC-clean), batch order.
+
+        ``canonical`` is passed to :meth:`check_batch`.
+        """
         return np.fromiter(
-            (report.clean for report in self.check_batch(patterns)),
+            (report.clean for report in self.check_batch(patterns, canonical)),
             dtype=bool,
             count=len(patterns),
         )

@@ -274,34 +274,14 @@ class Legalizer:
         the :class:`~repro.legalization.LegalizationEngine` gets element-wise
         identical output for any sharding of the same batch.
 
-        When ``options.batch_solve`` is set (the default) the whole chunk is
-        legalised through the cross-topology batched path
-        (:mod:`repro.legalization.batched`) — bit-identical output, constant
-        number of numpy passes per sweep.  ``batch_solve=False`` walks the
-        per-topology reference path instead.
+        The whole chunk is legalised through the cross-topology batched path
+        (:mod:`repro.legalization.batched`) with a constant number of numpy
+        passes per sweep; its output is bit-identical to calling
+        :meth:`legalize_topology` on each topology with the stream
+        ``child_rng(seed, first_index + position)`` (the serial reference
+        the tests compare it against).
         """
         base_seed = resolve_seed(rng)
-        if self.options.batch_solve:
-            return self._legalize_batch_batched(
-                topologies, num_solutions, base_seed, first_index
-            )
-        return [
-            self.legalize_topology(
-                topology,
-                num_solutions=num_solutions,
-                rng=child_rng(base_seed, first_index + position),
-            )
-            for position, topology in enumerate(topologies)
-        ]
-
-    def _legalize_batch_batched(
-        self,
-        topologies: "np.ndarray | list[np.ndarray]",
-        num_solutions: int,
-        base_seed: int,
-        first_index: int,
-    ) -> list[LegalizedTopology]:
-        """Chunk entry of the batched path; same stats/output as serial."""
         batch = [np.asarray(topology) for topology in topologies]
         if not batch:
             return []

@@ -57,12 +57,6 @@ class SolverOptions:
     #: ``"slsqp"`` always runs the full solve (bit-identical to the legacy
     #: lambda formulation — what ``paper-tables`` pins).
     solver_mode: str = "auto"
-    #: Route :meth:`Legalizer.legalize_batch` chunks through the
-    #: cross-topology batched path (:mod:`repro.legalization.batched`):
-    #: whole-chunk repair sweeps + a block-diagonal SLSQP tail.  Output is
-    #: bit-identical to the per-topology path in every mode, so this is a
-    #: pure throughput knob; ``False`` keeps the serial reference oracle.
-    batch_solve: bool = True
 
 
 @dataclass

@@ -163,12 +163,20 @@ def load_sidecar(path: "str | Path") -> "dict[str, np.ndarray] | None":
         return None
 
 
-def sidecar_arrays(patterns, sources=None, clean=None) -> dict[str, np.ndarray]:
-    """Compute the aligned sidecar arrays for ``patterns``."""
+def sidecar_arrays(
+    patterns, sources=None, clean=None, complexities=None
+) -> dict[str, np.ndarray]:
+    """Compute the aligned sidecar arrays for ``patterns``.
+
+    ``complexities`` are the canonical ``(cx, cy)`` of ``patterns`` when the
+    caller already has them (a generation-graph append); otherwise they are
+    computed here (compaction, sidecar repair).
+    """
     from ..metrics import pattern_complexity
     from .store import pattern_hash, topology_hash
 
-    complexities = [pattern_complexity(p) for p in patterns]
+    if complexities is None:
+        complexities = [pattern_complexity(p) for p in patterns]
     arrays = {
         "pattern_hash": _as_hash_array(pattern_hash(p) for p in patterns),
         "topology_hash": _as_hash_array(topology_hash(p.topology) for p in patterns),

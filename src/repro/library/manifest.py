@@ -184,6 +184,13 @@ class ChunkRecord:
     #: verdict per stored pattern, aligned with the shard slice).
     pattern_sources: list[int] = field(default_factory=list)
     pattern_clean: list[int] = field(default_factory=list)
+    #: Canonical complexity ``(cx, cy)`` per pattern handed to
+    #: :meth:`~repro.library.PatternLibrary.append_chunk`, when the caller
+    #: already computed it (the generation graph canonicalises every pattern
+    #: once).  Feeds the sidecar's ``cx``/``cy``; never serialised.
+    pattern_complexities: list[tuple[int, int]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     #: Field names serialised into a v1 ``manifest.json`` — exactly the PR 3
     #: schema, so single-writer libraries stay byte-identical on disk.

@@ -556,12 +556,26 @@ class PatternLibrary:
         concurrent appends by many writers equivalent to the serial order
         the ``seq`` numbers record.
 
+        ``record.pattern_complexities``, when set, are the canonical
+        complexities of ``patterns`` (aligned); the v2 sidecar stores them
+        for the kept patterns instead of recomputing them.
+
         Raises
         ------
         LibraryError
             If ``record.chunk`` is already recorded for this writer, or the
             library is a v2 merged view opened without a ``writer``.
+        ValueError
+            If ``record.pattern_complexities`` is set but not aligned with
+            ``patterns``.
         """
+        if record.pattern_complexities and len(record.pattern_complexities) != len(
+            patterns
+        ):
+            raise ValueError(
+                f"{len(record.pattern_complexities)} complexities for "
+                f"{len(patterns)} pattern(s)"
+            )
         if not self._v2:
             return self._append_chunk_v1(record, patterns)
         if self.writer is None:
@@ -622,6 +636,7 @@ class PatternLibrary:
         stored = []
         kept_sources: list[int] = []
         kept_clean: list[int] = []
+        kept_complexities: list[tuple[int, int]] = []
         skipped = 0
         new_patterns: list[str] = []
         new_topologies: list[str] = []
@@ -647,6 +662,8 @@ class PatternLibrary:
                 kept_sources.append(record.pattern_sources[position])
             if record.pattern_clean:
                 kept_clean.append(record.pattern_clean[position])
+            if record.pattern_complexities:
+                kept_complexities.append(record.pattern_complexities[position])
         record.num_stored = len(stored)
         record.duplicates_skipped = skipped
         record.num_new_patterns = len(new_patterns)
@@ -657,6 +674,7 @@ class PatternLibrary:
         record.new_topology_hashes = []
         record.pattern_sources = kept_sources
         record.pattern_clean = kept_clean
+        record.pattern_complexities = []
         record.writer = self.writer
         record.seq = self._next_seq()
         record.shard_start = 0
@@ -673,6 +691,7 @@ class PatternLibrary:
                     stored,
                     sources=kept_sources or None,
                     clean=kept_clean or None,
+                    complexities=kept_complexities or None,
                 ),
             )
         else:
@@ -1233,13 +1252,17 @@ def load_shard_slice(
                     f"shard {path} holds {total} pattern(s); cannot load "
                     f"{count} at offset {start}"
                 )
+            # Group the member names by pattern once: ``p<index>_<name>``.
+            members: dict[str, dict[str, str]] = {}
+            for key in data.files:
+                head, sep, name = key.partition("_")
+                if sep and head.startswith("p"):
+                    members.setdefault(head[1:], {})[name] = key
             patterns = []
             for index in range(start, start + count):
-                prefix = f"p{index}_"
                 arrays = {
-                    key.removeprefix(prefix): data[key]
-                    for key in data.files
-                    if key.startswith(prefix)
+                    name: data[key]
+                    for name, key in members.get(str(index), {}).items()
                 }
                 try:
                     patterns.append(

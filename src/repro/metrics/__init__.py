@@ -1,6 +1,7 @@
 """Evaluation metrics: pattern complexity, library diversity, validity."""
 
 from .complexity import (
+    canonical_complexity,
     complexity_distribution,
     pattern_complexity,
     topology_complexity,
@@ -16,6 +17,7 @@ from .validity import ValidityConfig, ValidityScorer
 
 __all__ = [
     "pattern_complexity",
+    "canonical_complexity",
     "topology_complexity",
     "complexity_distribution",
     "ComplexityHistogram",

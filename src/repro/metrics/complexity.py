@@ -11,29 +11,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..squish import SquishPattern, canonicalize
+from ..geometry import validate_grid
+from ..squish import SquishPattern, canonicalize, run_starts
 
 
 def topology_complexity(topology: np.ndarray) -> tuple[int, int]:
     """Complexity of a bare topology matrix.
 
-    The matrix is reduced to its canonical form (no two adjacent identical
-    rows/columns) by pairing it with unit geometric vectors, then the interval
-    counts minus one are returned as ``(cx, cy)``.
+    The interval counts of its canonical form (no two adjacent identical
+    rows/columns) minus one, as ``(cx, cy)``.  Two rows are identical after
+    the columns are merged exactly when they were identical before, so both
+    counts come straight from the run starts of the matrix itself.
     """
-    arr = np.asarray(topology, dtype=np.uint8)
-    rows, cols = arr.shape
-    pattern = SquishPattern(
-        arr, np.ones(cols, dtype=np.int64), np.ones(rows, dtype=np.int64)
-    )
-    return pattern_complexity(pattern)
+    arr = validate_grid(np.asarray(topology, dtype=np.uint8))
+    return len(run_starts(arr, axis=1)) - 1, len(run_starts(arr, axis=0)) - 1
+
+
+def canonical_complexity(canonical: SquishPattern) -> tuple[int, int]:
+    """Complexity ``(cx, cy)`` of a pattern already in canonical form."""
+    cx, cy = canonical.complexity
+    return max(cx - 1, 0), max(cy - 1, 0)
 
 
 def pattern_complexity(pattern: SquishPattern) -> tuple[int, int]:
     """Complexity ``(cx, cy)`` of a squish pattern."""
-    canonical = canonicalize(pattern)
-    cx, cy = canonical.complexity
-    return max(cx - 1, 0), max(cy - 1, 0)
+    return canonical_complexity(canonicalize(pattern))
 
 
 def complexity_distribution(

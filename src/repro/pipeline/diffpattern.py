@@ -274,7 +274,6 @@ class DiffPatternPipeline:
             workers,
             chunk_size,
             self.config.solver_mode,
-            self.config.batch_solve,
         )
         if (
             self._legalization_engine is None
@@ -289,10 +288,7 @@ class DiffPatternPipeline:
             self._legalization_engine = LegalizationEngine(
                 self.config.rules,
                 reference_geometries=references,
-                options=SolverOptions(
-                    solver_mode=self.config.solver_mode,
-                    batch_solve=self.config.batch_solve,
-                ),
+                options=SolverOptions(solver_mode=self.config.solver_mode),
                 workers=workers,
                 chunk_size=chunk_size,
             )

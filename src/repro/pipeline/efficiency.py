@@ -227,10 +227,7 @@ def run_efficiency_experiment(
     # All three measurements honour the config's solver strategy, so a
     # scenario pinned to "slsqp" (paper-tables) reports the full-solve cost
     # while "auto" regimes report the repair-first fast path.
-    options = SolverOptions(
-        solver_mode=pipeline.config.solver_mode,
-        batch_solve=pipeline.config.batch_solve,
-    )
+    options = SolverOptions(solver_mode=pipeline.config.solver_mode)
     solving_r = measure_solving_time(kept, pipeline.config.rules, None, options=options, rng=gen)
     solving_e = measure_solving_time(
         kept, pipeline.config.rules, references, options=options, rng=gen

@@ -8,7 +8,7 @@ pipeline over fixed-size chunks:
 .. code-block:: text
 
     SamplingEngine ──chunk──▶ unfold ──▶ TopologyPrefilter ──kept──▶
-        LegalizationEngine ──patterns──▶ DesignRuleChecker ──▶
+        LegalizationEngine ──patterns──▶ canonicalize ──▶ DesignRuleChecker ──▶
             incremental accumulators (+ optional PatternLibrary shard)
 
 Each chunk flows through every stage before the next chunk is sampled, so
@@ -18,6 +18,11 @@ Each chunk flows through every stage before the next chunk is sampled, so
 * legalisation starts after the first chunk instead of after the last, and
 * a run wired to a :class:`~repro.library.PatternLibrary` persists every
   completed chunk and can be killed and resumed from the manifest.
+
+Every legal pattern is reduced to its minimal squish form exactly once
+(:func:`~repro.squish.canonicalize`); the DRC verdict, the pattern
+complexity histogram and the library sidecar's ``cx``/``cy`` all read that
+one canonical form.
 
 **Parity contract.**  Both engines seed every element index independently
 (``SeedSequence(seed, index)``) and accept a ``first_index`` stream offset,
@@ -40,9 +45,9 @@ from ..drc import DesignRuleChecker
 from ..faults import declare_fault_points, fault_point
 from ..legalization import LegalizationEngine, LegalizationReport, LegalizationStats
 from ..library import ChunkRecord, PatternLibrary
-from ..metrics import ComplexityHistogram, pattern_complexity, topology_complexity
+from ..metrics import ComplexityHistogram, canonical_complexity, topology_complexity
 from ..prefilter import TopologyPrefilter
-from ..squish import SquishPattern, unfold
+from ..squish import SquishPattern, canonicalize, unfold
 from ..utils import resolve_seed
 from .diffpattern import GenerationResult
 from .sampling_engine import SamplingEngine, SamplingReport
@@ -175,11 +180,15 @@ class StreamChunk:
     results: list = field(repr=False)
     #: Every legal pattern the chunk produced, before any dedup planning.
     chunk_patterns: list[SquishPattern] = field(repr=False)
+    #: Canonical complexity ``(cx, cy)`` per entry of :attr:`chunk_patterns`.
+    chunk_complexities: list[tuple[int, int]] = field(repr=False)
     #: The patterns the caller keeps (identical to :attr:`chunk_patterns`
     #: unless a deduplicating library planned some away).
     patterns: list[SquishPattern] = field(repr=False)
     #: Absolute source sample index per entry of :attr:`patterns`.
     pattern_sources: list[int]
+    #: Canonical complexity ``(cx, cy)`` per entry of :attr:`patterns`.
+    pattern_complexities: list[tuple[int, int]] = field(repr=False)
     #: DRC verdict per entry of :attr:`patterns`.
     clean_mask: np.ndarray = field(repr=False)
     num_clean: int
@@ -295,6 +304,10 @@ class GenerationStream:
         for index, result in zip(kept_indices, results):
             chunk_patterns.extend(result.patterns)
             sources.extend([index] * len(result.patterns))
+        # The one canonicalisation of each pattern: DRC, the histogram and
+        # the library sidecar all read it.
+        chunk_canonical = [canonicalize(pattern) for pattern in chunk_patterns]
+        chunk_complexities = [canonical_complexity(c) for c in chunk_canonical]
         # With a deduplicating library, the chunk (and every metric on it)
         # describes exactly the patterns that are kept — otherwise legality
         # and diversity would be computed over patterns the caller never
@@ -304,13 +317,21 @@ class GenerationStream:
             keep = graph.library.plan_chunk(chunk_patterns)
             patterns = [p for p, flag in zip(chunk_patterns, keep) if flag]
             pattern_sources = [s for s, flag in zip(sources, keep) if flag]
+            canonical = [c for c, flag in zip(chunk_canonical, keep) if flag]
+            pattern_complexities = [
+                c for c, flag in zip(chunk_complexities, keep) if flag
+            ]
         else:
             patterns = chunk_patterns
             pattern_sources = sources
+            canonical = chunk_canonical
+            pattern_complexities = chunk_complexities
 
         tic = time.perf_counter()
         clean_mask = (
-            np.asarray(graph.checker.legality_mask(patterns), dtype=bool)
+            np.asarray(
+                graph.checker.legality_mask(canonical, canonical=True), dtype=bool
+            )
             if patterns
             else np.zeros(0, dtype=bool)
         )
@@ -326,16 +347,16 @@ class GenerationStream:
             num_rejected=num_rejected,
             results=results,
             chunk_patterns=chunk_patterns,
+            chunk_complexities=chunk_complexities,
             patterns=patterns,
             pattern_sources=pattern_sources,
+            pattern_complexities=pattern_complexities,
             clean_mask=clean_mask,
             num_clean=int(clean_mask.sum()),
             topology_histogram=ComplexityHistogram(
                 [topology_complexity(m) for m in matrices]
             ),
-            pattern_histogram=ComplexityHistogram(
-                [pattern_complexity(p) for p in patterns]
-            ),
+            pattern_histogram=ComplexityHistogram(pattern_complexities),
             sampling_report=sampling_report,
             legalization_report=legalization_report,
             prefilter_seconds=prefilter_seconds,
@@ -632,6 +653,7 @@ class GenerationGraph:
                     "total_iterations": chunk.legalization_report.stats.total_iterations,
                     "total_solver_time": chunk.legalization_report.stats.total_solver_time,
                 },
+                pattern_complexities=chunk.chunk_complexities,
             )
             stored = self.library.append_chunk(record, chunk.chunk_patterns)
         acc.patterns.extend(stored)

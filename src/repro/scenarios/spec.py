@@ -79,14 +79,10 @@ _ENGINE_KEYS = (
     "legalize_chunk_size",
     "stream_chunk_size",
     "solver_mode",
-    "batch_solve",
 )
 
 #: Engine fields that hold strings (everything else coerces through int).
 _ENGINE_STR_KEYS = ("solver_mode",)
-
-#: Engine fields that hold booleans (``int()`` coercion would mangle them).
-_ENGINE_BOOL_KEYS = ("batch_solve",)
 
 #: DiffPatternConfig fields settable through the ``sampling`` section.
 #: ``steps`` strides the reverse sampler (``sampling_steps`` on the config);
@@ -321,8 +317,6 @@ class ScenarioSpec:
             for key, value in self.sections.get("engine", {}).items():
                 if key in _ENGINE_STR_KEYS:
                     setattr(config, key, str(value))
-                elif key in _ENGINE_BOOL_KEYS:
-                    setattr(config, key, bool(value))
                 else:
                     setattr(config, key, None if value is None else int(value))
             # Engine fields bypass __post_init__, so re-validate the solve
@@ -411,7 +405,6 @@ class RunPlan:
             f"  engine           sample_batch={cfg.sample_batch_size}, "
             f"workers={cfg.workers}, stream_chunk={cfg.stream_chunk_size}, "
             f"solver={cfg.solver_mode}, "
-            f"batch_solve={'on' if cfg.batch_solve else 'off'}, "
             f"dedup={'on' if self.dedup else 'off'}",
             f"  sampling         "
             + (

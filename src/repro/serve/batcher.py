@@ -288,6 +288,7 @@ class StreamBatcher:
             },
             pattern_sources=[int(source) for source in chunk.pattern_sources],
             pattern_clean=[int(bool(flag)) for flag in chunk.clean_mask],
+            pattern_complexities=chunk.pattern_complexities,
         )
         self._library.append_chunk(record, chunk.patterns)
         self.persisted_chunks += 1

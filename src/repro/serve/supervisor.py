@@ -145,6 +145,7 @@ class WorkerChunk:
     unsolved: int
     patterns: list = field(repr=False)
     pattern_sources: list
+    pattern_complexities: list = field(repr=False)
     clean_mask: object = field(repr=False)
     num_clean: int
     topology_histogram: object = field(repr=False)
@@ -173,6 +174,7 @@ class WorkerChunk:
             unsolved=chunk.unsolved,
             patterns=chunk.patterns,
             pattern_sources=chunk.pattern_sources,
+            pattern_complexities=chunk.pattern_complexities,
             clean_mask=chunk.clean_mask,
             num_clean=chunk.num_clean,
             topology_histogram=chunk.topology_histogram,

@@ -8,7 +8,7 @@ from .deep_squish import (
     unfold,
     unfold_batch,
 )
-from .padding import PaddingError, canonicalize, pad_to_size
+from .padding import PaddingError, canonicalize, pad_to_size, run_starts
 from .squish import SquishPattern, empty_pattern, squish, unsquish, window_of
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "window_of",
     "pad_to_size",
     "canonicalize",
+    "run_starts",
     "PaddingError",
     "fold",
     "unfold",

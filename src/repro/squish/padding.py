@@ -101,35 +101,37 @@ def pad_to_size(pattern: SquishPattern, size: int) -> SquishPattern:
     return SquishPattern(topo, dx, dy, origin=pattern.origin)
 
 
+def run_starts(topology: np.ndarray, axis: int) -> np.ndarray:
+    """Indices of the rows (``axis=0``) or columns (``axis=1``) that start a run.
+
+    Index ``i`` starts a run when it is the first along ``axis`` or differs
+    from its predecessor; every index up to the next start repeats it.
+    """
+    count = topology.shape[axis]
+    starts = np.ones(count, dtype=bool)
+    if axis == 1:
+        starts[1:] = (topology[:, 1:] != topology[:, :-1]).any(axis=0)
+    else:
+        starts[1:] = (topology[1:] != topology[:-1]).any(axis=1)
+    return np.flatnonzero(starts)
+
+
 def canonicalize(pattern: SquishPattern) -> SquishPattern:
     """Merge every mergeable adjacent row/column (minimal squish form).
 
     This is the canonical representation used when computing pattern
-    complexity: adjacent identical rows/columns carry no topology information
-    and are collapsed, so (cx, cy) reflect true scan-line structure.
+    complexity and checking design rules: adjacent identical rows/columns
+    carry no topology information and are collapsed, so (cx, cy) reflect
+    true scan-line structure.  One vectorized pass per axis: the first
+    column of every run of identical columns is kept and ``delta_x`` is
+    summed over the run (``np.add.reduceat``); rows follow on the result.
     """
-    topo = pattern.topology.copy()
-    dx = list(int(v) for v in pattern.delta_x)
-    dy = list(int(v) for v in pattern.delta_y)
-
-    def merge_all(topo: np.ndarray, d: list[int], axis: int):
-        i = 0
-        while i < len(d) - 1:
-            a = topo.take(i, axis=axis)
-            b = topo.take(i + 1, axis=axis)
-            if np.array_equal(a, b):
-                d[i] += d[i + 1]
-                del d[i + 1]
-                topo = np.delete(topo, i + 1, axis=axis)
-            else:
-                i += 1
-        return topo, d
-
-    topo, dx = merge_all(topo, dx, axis=1)
-    topo, dy = merge_all(topo, dy, axis=0)
+    columns = run_starts(pattern.topology, axis=1)
+    topo = np.take(pattern.topology, columns, axis=1)
+    rows = run_starts(topo, axis=0)
     return SquishPattern(
-        topo,
-        np.asarray(dx, dtype=np.int64),
-        np.asarray(dy, dtype=np.int64),
+        np.take(topo, rows, axis=0),
+        np.add.reduceat(pattern.delta_x, columns),
+        np.add.reduceat(pattern.delta_y, rows),
         origin=pattern.origin,
     )

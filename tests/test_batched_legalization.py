@@ -1,14 +1,16 @@
 """Bit-identity and kernel tests for cross-topology batched legalization.
 
-The batched path (``SolverOptions.batch_solve``, the default) legalises a
-whole chunk through :mod:`repro.legalization.batched`: one vectorized repair
-sweep partitions the chunk into fast-path successes and a residual tail,
-and the tail's SLSQP restart rounds share stacked rounding + verification.
-Its contract is *bit-identity* with the serial per-topology reference path
-for any chunk size, worker count and batch composition, in both ``auto``
-and ``slsqp`` modes — asserted element-wise here on adversarial batches
-(mixed shapes, duplicates, unsolvable topologies, multi-solution runs,
-warm-start references, restart-heavy rule sets).
+The batched path legalises a whole chunk through
+:mod:`repro.legalization.batched`: one vectorized repair sweep partitions
+the chunk into fast-path successes and a residual tail, and the tail's
+SLSQP restart rounds share stacked rounding + verification.  Its contract is
+*bit-identity* with the serial per-topology reference (:func:`serial_oracle`:
+``Legalizer.legalize_topology`` on each topology with its own
+``child_rng(seed, index)`` stream) for any chunk size, worker count and
+batch composition, in both ``auto`` and ``slsqp`` modes — asserted
+element-wise here on adversarial batches (mixed shapes, duplicates,
+unsolvable topologies, multi-solution runs, warm-start references,
+restart-heavy rule sets).
 """
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.legalization import (
 from repro.legalization.batched import _project_axis_rows, _round_rows
 from repro.legalization.solver import _project_axis, _round_preserving_sum
 from repro.serve.metrics import ServeMetrics
+from repro.utils import child_rng
 
 
 def _blocky(rows, cols, blocks):
@@ -84,7 +87,6 @@ def run_engine(
     batch,
     *,
     mode="auto",
-    batch_solve=True,
     num_solutions=1,
     workers=1,
     chunk=None,
@@ -94,11 +96,24 @@ def run_engine(
     engine = LegalizationEngine(
         rules,
         reference_geometries=refs,
-        options=SolverOptions(solver_mode=mode, batch_solve=batch_solve),
+        options=SolverOptions(solver_mode=mode),
         workers=workers,
         chunk_size=chunk,
     )
     return engine.legalize_batch(batch, num_solutions=num_solutions, seed=seed)
+
+
+def serial_oracle(rules, batch, *, mode="auto", num_solutions=1, refs=None, seed=7):
+    """The serial per-topology reference the batched path must reproduce."""
+    legalizer = Legalizer(
+        rules, reference_geometries=refs, options=SolverOptions(solver_mode=mode)
+    )
+    return [
+        legalizer.legalize_topology(
+            topology, num_solutions=num_solutions, rng=child_rng(seed, index)
+        )
+        for index, topology in enumerate(batch)
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -108,28 +123,21 @@ class TestBitIdentity:
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_any_chunk_size_matches_serial(self, rules, adversarial_batch, mode, chunk):
-        serial = run_engine(rules, adversarial_batch, mode=mode, batch_solve=False)
-        batched = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=True, chunk=chunk
-        )
+        serial = serial_oracle(rules, adversarial_batch, mode=mode)
+        batched = run_engine(rules, adversarial_batch, mode=mode, chunk=chunk)
         assert full_signatures(batched) == full_signatures(serial)
 
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     def test_two_workers_match_serial(self, rules, adversarial_batch, mode):
-        serial = run_engine(rules, adversarial_batch, mode=mode, batch_solve=False)
-        batched = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=True, workers=2, chunk=2
-        )
+        serial = serial_oracle(rules, adversarial_batch, mode=mode)
+        batched = run_engine(rules, adversarial_batch, mode=mode, workers=2, chunk=2)
         assert full_signatures(batched) == full_signatures(serial)
 
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     def test_multi_solution_diffpattern_l(self, rules, adversarial_batch, mode):
-        serial = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=False, num_solutions=3
-        )
+        serial = serial_oracle(rules, adversarial_batch, mode=mode, num_solutions=3)
         batched = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=True,
-            num_solutions=3, chunk=3,
+            rules, adversarial_batch, mode=mode, num_solutions=3, chunk=3
         )
         assert full_signatures(batched) == full_signatures(serial)
 
@@ -142,12 +150,9 @@ class TestBitIdentity:
             )
             for _ in range(3)
         ]
-        serial = run_engine(
-            rules, adversarial_batch, batch_solve=False, refs=refs, num_solutions=2
-        )
+        serial = serial_oracle(rules, adversarial_batch, refs=refs, num_solutions=2)
         batched = run_engine(
-            rules, adversarial_batch, batch_solve=True, refs=refs,
-            num_solutions=2, chunk=3,
+            rules, adversarial_batch, refs=refs, num_solutions=2, chunk=3
         )
         assert full_signatures(batched) == full_signatures(serial)
 
@@ -161,8 +166,8 @@ class TestBitIdentity:
         hard = _blocky(8, 8, [(3, 5, 3, 5)])
         bigger = _blocky(8, 8, [(2, 6, 2, 6)])
         batch = [hard, bigger, hard, np.ones((4, 4), dtype=np.uint8)]
-        serial = run_engine(rules, batch, mode=mode, batch_solve=False, seed=seed)
-        batched = run_engine(rules, batch, mode=mode, batch_solve=True, seed=seed)
+        serial = serial_oracle(rules, batch, mode=mode, seed=seed)
+        batched = run_engine(rules, batch, mode=mode, seed=seed)
         assert full_signatures(batched) == full_signatures(serial)
 
     def test_tail_actually_fires(self):
@@ -312,11 +317,13 @@ class TestStatsAndCounters:
         assert engine.stats.batched_tail_solves >= len(adversarial_batch)
 
     def test_serial_path_counters_stay_zero(self, rules, adversarial_batch):
-        engine = LegalizationEngine(rules, options=SolverOptions(batch_solve=False))
-        engine.legalize_batch(adversarial_batch, seed=0)
-        assert engine.stats.batched_sweeps == 0
-        assert engine.stats.batched_sweep_topologies == 0
-        assert engine.stats.batched_tail_solves == 0
+        legalizer = Legalizer(rules)
+        for index, topology in enumerate(adversarial_batch):
+            legalizer.legalize_topology(topology, rng=child_rng(0, index))
+        assert legalizer.stats.attempted == len(adversarial_batch)
+        assert legalizer.stats.batched_sweeps == 0
+        assert legalizer.stats.batched_sweep_topologies == 0
+        assert legalizer.stats.batched_tail_solves == 0
 
     def test_merge_folds_batched_counters(self):
         a = LegalizationStats(
@@ -419,33 +426,29 @@ class TestServeMetricsLegalization:
 
 
 class TestKnobRouting:
-    def test_config_defaults_to_batched(self):
-        from repro.pipeline import DiffPatternConfig
-
-        assert DiffPatternConfig.tiny().batch_solve is True
-
-    def test_scenario_engine_section_lowers_bool(self):
-        from repro.scenarios import builtin_registry
+    def test_scenario_rejects_batch_solve_key(self):
+        from repro.scenarios import ScenarioError, builtin_registry
 
         spec = builtin_registry().resolve("smoke")
-        plan = spec.with_overrides({"engine": {"batch_solve": False}}).lower()
-        assert plan.config.batch_solve is False
-        assert "batch_solve=off" in plan.summary()
-        assert spec.lower().config.batch_solve is True
+        with pytest.raises(ScenarioError, match="batch_solve"):
+            spec.with_overrides({"engine": {"batch_solve": False}}).lower()
 
     def test_cli_flag_round_trip(self):
         from repro.cli import _overrides_from, build_parser
 
         args = build_parser().parse_args(
-            ["generate", "--scenario", "smoke", "--batch-solve", "off"]
+            ["generate", "--scenario", "smoke", "--solver-mode", "slsqp"]
         )
-        overrides = _overrides_from(args)
-        assert overrides["engine"]["batch_solve"] is False
+        assert _overrides_from(args)["engine"]["solver_mode"] == "slsqp"
         args = build_parser().parse_args(["generate", "--scenario", "smoke"])
         assert "engine" not in _overrides_from(args)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["generate", "--scenario", "smoke", "--batch-solve", "off"]
+            )
 
     def test_knob_overrides_tristate(self):
         from repro.cli import knob_overrides
 
-        assert knob_overrides(batch_solve=True) == {"engine": {"batch_solve": True}}
+        assert knob_overrides(solver_mode="auto") == {"engine": {"solver_mode": "auto"}}
         assert knob_overrides() == {}

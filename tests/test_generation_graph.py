@@ -296,6 +296,97 @@ class TestLibraryResume:
             again.run(NUM_SAMPLES, seed=11)
 
 
+class TestCanonicalizeOnce:
+    """Every produced pattern is canonicalised exactly once per live run, and
+    everything read from that shared form matches a from-scratch recompute."""
+
+    @pytest.fixture
+    def canonicalize_calls(self, monkeypatch):
+        import sys
+
+        from repro.squish import padding
+
+        original = padding.canonicalize
+        calls = []
+
+        def counting(pattern):
+            calls.append(pattern)
+            return original(pattern)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "canonicalize", None) is original:
+                monkeypatch.setattr(module, "canonicalize", counting)
+        return calls
+
+    @staticmethod
+    def _assert_chunk_matches_recompute(chunk, rules):
+        from repro.metrics import ComplexityHistogram, pattern_complexity
+        from repro.squish import SquishPattern
+
+        np.testing.assert_array_equal(
+            chunk.clean_mask, DesignRuleChecker(rules).legality_mask(chunk.patterns)
+        )
+        assert chunk.pattern_histogram.as_records() == ComplexityHistogram(
+            [pattern_complexity(p) for p in chunk.patterns]
+        ).as_records()
+        ones = np.ones(chunk.matrices.shape[1], dtype=np.int64)
+        assert chunk.topology_histogram.as_records() == ComplexityHistogram(
+            [pattern_complexity(SquishPattern(m, ones, ones)) for m in chunk.matrices]
+        ).as_records()
+        assert chunk.chunk_complexities == [
+            pattern_complexity(p) for p in chunk.chunk_patterns
+        ]
+
+    def test_no_library(self, graph_parts, rules, canonicalize_calls):
+        chunks = []
+        graph = build_graph(graph_parts, rules, chunk_size=7)
+        graph.on_chunk = chunks.append
+        graph.run(NUM_SAMPLES, seed=11)
+        produced = sum(len(chunk.chunk_patterns) for chunk in chunks)
+        assert produced > 0
+        assert len(canonicalize_calls) == produced
+        for chunk in chunks:
+            self._assert_chunk_matches_recompute(chunk, rules)
+
+    def test_dedup_v2_library(self, graph_parts, rules, tmp_path, canonicalize_calls):
+        from repro.library.index import load_sidecar, sidecar_name
+        from repro.metrics import pattern_complexity
+
+        root = tmp_path / "lib"
+        # A first writer stores samples 0-6; the second writer's first
+        # chunk (samples 0-8) then drops its leading patterns as duplicates
+        # and stores the rest, so kept positions are not a prefix.
+        build_graph(
+            graph_parts, rules, chunk_size=7,
+            library=PatternLibrary(root, dedup=True, writer="first"),
+        ).run(NUM_SAMPLES, seed=11, stop_after_chunks=1)
+        canonicalize_calls.clear()
+
+        library = PatternLibrary(root, dedup=True, writer="second")
+        chunks = []
+        graph = build_graph(graph_parts, rules, chunk_size=9, library=library)
+        graph.on_chunk = chunks.append
+        graph.run(NUM_SAMPLES, seed=11)
+        produced = sum(len(chunk.chunk_patterns) for chunk in chunks)
+        kept = sum(len(chunk.patterns) for chunk in chunks)
+        assert 0 < kept < produced
+        assert len(canonicalize_calls) == produced
+        for chunk in chunks:
+            self._assert_chunk_matches_recompute(chunk, rules)
+
+        stored = 0
+        for record in library.own_records():
+            if record.shard is None:
+                continue
+            sidecar = load_sidecar(library.index_dir / sidecar_name(record.shard))
+            patterns = library.load_record_patterns(record)
+            expected = np.asarray([pattern_complexity(p) for p in patterns], dtype=np.int64)
+            np.testing.assert_array_equal(sidecar["cx"], expected[:, 0])
+            np.testing.assert_array_equal(sidecar["cy"], expected[:, 1])
+            stored += len(patterns)
+        assert stored == kept
+
+
 class TestPipelineIntegration:
     """The real trained engine end to end (quality-independent assertions)."""
 

@@ -10,6 +10,7 @@ from repro.library import (
     LibraryError,
     PatternLibrary,
     load_shard,
+    load_shard_slice,
     pattern_hash,
     save_shard,
     topology_hash,
@@ -67,6 +68,31 @@ class TestShardCodec:
         np.savez(path, other=np.zeros(3))
         with pytest.raises(LibraryError, match="count"):
             load_shard(path)
+
+    @pytest.mark.parametrize("dropped", ["p1_delta_x", "p1_topology"])
+    def test_missing_member_is_rejected(self, tmp_path, dropped):
+        path = tmp_path / "shard.npz"
+        save_shard(path, [make_pattern(i) for i in range(12)])
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != dropped}
+        np.savez(path, **arrays)
+        with pytest.raises(LibraryError, match=r"\[1\].*missing"):
+            load_shard(path)
+        # Patterns 10 and 11 share pattern 1's leading digit but not its
+        # members: they still load intact.
+        patterns, total = load_shard_slice(path, 10, 2)
+        assert total == 12
+        np.testing.assert_array_equal(patterns[1].delta_y, make_pattern(11).delta_y)
+
+    def test_missing_pattern_is_rejected(self, tmp_path):
+        path = tmp_path / "shard.npz"
+        save_shard(path, [make_pattern(i) for i in range(3)])
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if not key.startswith("p2_")}
+        np.savez(path, **arrays)
+        assert len(load_shard_slice(path, 0, 2)[0]) == 2
+        with pytest.raises(LibraryError, match="missing"):
+            load_shard_slice(path, 1, 2)
 
 
 class TestHashes:

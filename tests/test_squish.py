@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Layout, Rect, RectilinearPolygon
 from repro.squish import (
@@ -14,6 +16,7 @@ from repro.squish import (
     unsquish,
     window_of,
 )
+from squish_reference import reference_canonicalize
 
 
 def _sample_layout() -> Layout:
@@ -202,3 +205,70 @@ class TestCanonicalize:
         canonical = canonicalize(pattern)
         assert canonical.topology.shape == (1, 1)
         assert canonical.width == 64
+
+
+@st.composite
+def squish_patterns(draw):
+    """Random patterns rich in mergeable rows and columns.
+
+    A small base matrix (down to 1 x N, N x 1 and 1 x 1) is optionally made
+    uniform, then every row and column is repeated 1-3 times, so runs of
+    identical neighbours are the rule rather than the exception.
+    """
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        base = np.full((rows, cols), draw(st.integers(0, 1)), dtype=np.uint8)
+    else:
+        bits = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+        base = np.asarray(bits, dtype=np.uint8).reshape(rows, cols)
+    row_repeats = draw(st.lists(st.integers(1, 3), min_size=rows, max_size=rows))
+    col_repeats = draw(st.lists(st.integers(1, 3), min_size=cols, max_size=cols))
+    topology = np.repeat(np.repeat(base, row_repeats, axis=0), col_repeats, axis=1)
+    deltas = st.integers(1, 500)
+    delta_x = draw(st.lists(deltas, min_size=topology.shape[1], max_size=topology.shape[1]))
+    delta_y = draw(st.lists(deltas, min_size=topology.shape[0], max_size=topology.shape[0]))
+    origin = (draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000)))
+    return SquishPattern(topology, delta_x, delta_y, origin=origin)
+
+
+def _assert_same_pattern(got: SquishPattern, expected: SquishPattern) -> None:
+    for name in ("topology", "delta_x", "delta_y"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.flags.c_contiguous == b.flags.c_contiguous, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.origin == expected.origin
+
+
+def _forced(topology) -> SquishPattern:
+    """A fixed pattern on ``topology`` (rows/columns weighted 3, 5, 7, ...)."""
+    topology = np.asarray(topology, dtype=np.uint8)
+    rows, cols = topology.shape
+    return SquishPattern(
+        topology, 3 + 2 * np.arange(cols), 3 + 2 * np.arange(rows), origin=(3, -4)
+    )
+
+
+class TestCanonicalizeKernel:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(squish_patterns())
+    @example(_forced([[0, 1, 1, 0, 0, 1, 1]]))          # 1 x N
+    @example(_forced([[1], [1], [0], [1], [1], [1]]))   # N x 1
+    @example(_forced([[1]]))                            # 1 x 1
+    @example(_forced(np.ones((5, 4))))                  # all equal
+    @example(_forced([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]]))  # repeats
+    def test_matches_reference_loop(self, pattern):
+        canonical = canonicalize(pattern)
+        _assert_same_pattern(canonical, reference_canonicalize(pattern))
+        # Idempotent, and shares no memory with its input.
+        _assert_same_pattern(canonicalize(canonical), canonical)
+        assert not np.shares_memory(canonical.topology, pattern.topology)
+        # Same physical layout: re-squished from the decoded layouts, both
+        # reduce (under the reference loop) to the same minimal form.
+        before, after = pattern.to_layout(), canonical.to_layout()
+        assert after.window == before.window
+        assert after.total_area == before.total_area
+        _assert_same_pattern(
+            reference_canonicalize(squish(after)), reference_canonicalize(squish(before))
+        )
