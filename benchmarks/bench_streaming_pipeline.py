@@ -14,7 +14,7 @@ measures both paths end to end on the shared trained pipeline:
   run when ``REPRO_BENCH_WORKERS`` widens the legalization pool (CI only —
   the local container has a single core, so that metric is ``null`` there),
 * **resume** — a second streamed run killed halfway and resumed from the
-  pattern-library manifest must reproduce the uninterrupted library.
+  pattern-library ledger must reproduce the uninterrupted library.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _patterns_equal(a, b) -> bool:
 
 def bench_streaming_pipeline(benchmark, trained_pipeline):
     batch = measure_streamed_generation(
-        trained_pipeline, STREAM_GENERATED, rng=0, stream=False, workers=1
+        trained_pipeline, STREAM_GENERATED, chunk_size=STREAM_GENERATED, rng=0, workers=1
     )
 
     def streamed_run():
@@ -58,7 +58,6 @@ def bench_streaming_pipeline(benchmark, trained_pipeline):
             STREAM_GENERATED,
             chunk_size=CHUNK_SIZE,
             rng=0,
-            stream=True,
             retain_topologies=False,
             workers=1,
         )
@@ -76,7 +75,7 @@ def bench_streaming_pipeline(benchmark, trained_pipeline):
     )
 
     # Kill a library-backed streamed run halfway (stop_after_chunks), then
-    # resume it: the resumed run folds the stored chunks from the manifest
+    # resume it: the resumed run folds the stored chunks from its ledger
     # and generates the rest live — the mixed live+resumed path must
     # reproduce the uninterrupted patterns exactly.
     num_chunks = -(-STREAM_GENERATED // CHUNK_SIZE)
@@ -111,7 +110,6 @@ def bench_streaming_pipeline(benchmark, trained_pipeline):
             STREAM_GENERATED,
             chunk_size=CHUNK_SIZE,
             rng=0,
-            stream=True,
             retain_topologies=False,
             workers=BENCH_WORKERS,
         )

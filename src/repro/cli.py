@@ -97,18 +97,14 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "fewer U-Net evaluations, see docs/sampling.md)",
     )
     parser.add_argument(
-        "--batch", action="store_true",
-        help="single-barrier path instead of streaming (identical output)",
-    )
-    parser.add_argument(
         "--dedup", action="store_true",
         help="skip exact-duplicate patterns when persisting with --out",
     )
     parser.add_argument(
         "--writer", default=None, metavar="ID",
-        help="writer id for --out: opens the library in the sharded v2 "
-        "layout so several producers can append to one library "
-        "concurrently (each writer keeps its own manifest ledger)",
+        help="writer id for --out (default: main): the ledger this run appends "
+        "to, so several producers can grow one library concurrently; resume "
+        "a migrated v1 library with --writer legacy",
     )
 
 
@@ -281,14 +277,13 @@ def knob_overrides(
     chunk_size: "int | None" = None,
     solver_mode: "str | None" = None,
     steps: "int | None" = None,
-    stream: "bool | None" = None,
     dedup: bool = False,
 ) -> dict:
     """Knob values as a spec-override mapping (empty sections omitted).
 
-    ``None`` means "keep the scenario's value" (``stream`` is tri-state for
-    exactly that reason), and ``dedup`` only overrides when set — a
-    scenario's own choice is never silently forced back to the default.
+    ``None`` means "keep the scenario's value", and ``dedup`` only
+    overrides when set — a scenario's own choice is never silently forced
+    back to the default.
     Shared by the CLI flag handling and ``examples/quickstart.py`` so the
     two cannot drift.
     """
@@ -315,8 +310,6 @@ def knob_overrides(
         run["num_solutions"] = solutions
     if seed is not None:
         run["seed"] = seed
-    if stream is not None:
-        run["stream"] = stream
     if dedup:
         run["dedup"] = True
     overrides = {}
@@ -343,7 +336,6 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         chunk_size=args.chunk_size,
         solver_mode=args.solver_mode,
         steps=args.steps,
-        stream=False if args.batch else None,
         dedup=args.dedup,
     )
 
@@ -393,9 +385,9 @@ def _execute_plan(
 
     Mirrors :meth:`~repro.pipeline.DiffPatternPipeline.run` (one rng drives
     data → train → generate, so a resumed run replays the identical seeds)
-    with the plan's stream / dedup / retention knobs applied.
+    with the plan's chunk / dedup / retention knobs applied.
     """
-    from .library import PatternLibrary
+    from .library import DEFAULT_WRITER, PatternLibrary
     from .pipeline import DiffPatternPipeline
     from .utils import as_rng
 
@@ -410,18 +402,18 @@ def _execute_plan(
     print(f"[2/3] training: {plan.config.train_iterations} iterations ...")
     pipeline.train(rng=gen)
     library = (
-        PatternLibrary(out, dedup=plan.dedup, writer=writer) if out is not None else None
+        PatternLibrary(out, dedup=plan.dedup, writer=writer or DEFAULT_WRITER)
+        if out is not None
+        else None
     )
-    mode = "streamed" if plan.stream else "batch"
     print(
-        f"[3/3] generation graph ({mode}): {plan.num_generated} topologies "
+        f"[3/3] generation graph: {plan.num_generated} topologies "
         f"x {plan.num_solutions} solution(s) ..."
     )
     result = pipeline.generate_and_legalize(
         plan.num_generated,
         num_solutions=plan.num_solutions,
         rng=gen,
-        stream=plan.stream,
         retain_topologies=plan.retain_topologies,
         library=library,
         resume=resume,
@@ -465,7 +457,7 @@ def _parse_band(text: str) -> tuple:
 
 
 def _cmd_inspect_library(args: argparse.Namespace) -> int:
-    from .library import MANIFEST_DIR, LibraryError, PatternLibrary
+    from .library import LEGACY_WRITER, MANIFEST_DIR, LibraryError, PatternLibrary
 
     manifest = Path(args.library) / "manifest.json"
     manifests = Path(args.library) / MANIFEST_DIR
@@ -480,22 +472,24 @@ def _cmd_inspect_library(args: argparse.Namespace) -> int:
     for key, value in summary.items():
         rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
         print(f"  {key:<18} {rendered}")
-    if library.writers:
-        print(f"  {'layout':<18} v2 (sharded, {len(library.writers)} writer(s))")
-        print(f"  {'writers':<18} {', '.join(library.writers)}")
-        stats = library.index_stats()
-        if stats is not None:
-            print(
-                f"  {'index':<18} covered_seq={stats['covered_seq']} "
-                f"merged={stats['merged_patterns']} "
-                f"delta_chunks={stats['delta_chunks']} "
-                f"bloom_bits={stats['bloom_bits']}"
-            )
+    # The layout comes from disk: a v1 manifest.json stays the legacy
+    # writer's home until compact-library writes manifests/legacy.json.
+    if manifest.exists() and not (manifests / f"{LEGACY_WRITER}.json").exists():
+        layout = "v1 (unmigrated; run compact-library)"
     else:
-        print(f"  {'layout':<18} v1 (single manifest.json)")
-    if library.fingerprint:
-        print("  fingerprint:")
-        for key, value in sorted(library.fingerprint.items()):
+        layout = f"v2 (sharded, {len(library.writers)} writer(s))"
+    print(f"  {'layout':<18} {layout}")
+    print(f"  {'writers':<18} {', '.join(library.writers)}")
+    stats = library.index_stats()
+    print(
+        f"  {'index':<18} covered_seq={stats['covered_seq']} "
+        f"merged={stats['merged_patterns']} "
+        f"delta_chunks={stats['delta_chunks']} "
+        f"bloom_bits={stats['bloom_bits']}"
+    )
+    for writer in library.writers:
+        print(f"  fingerprint: {writer}")
+        for key, value in sorted(library.writer_fingerprint(writer).items()):
             print(f"    {key:<16} {value}")
     if args.chunks:
         print()

@@ -2,7 +2,7 @@
 
 from ..faults import InjectedCrash, fault_point, install_fault_hook, record_fault_points
 from .index import BloomFilter, LibraryIndex
-from .manifest import LEGACY_WRITER, MANIFEST_DIR, LibraryLock, WriterLedger
+from .manifest import DEFAULT_WRITER, LEGACY_WRITER, MANIFEST_DIR, LibraryLock, WriterLedger
 from .store import (
     ChunkRecord,
     CompactionReport,
@@ -26,6 +26,7 @@ __all__ = [
     "LibraryIndex",
     "LibraryLock",
     "WriterLedger",
+    "DEFAULT_WRITER",
     "LEGACY_WRITER",
     "MANIFEST_DIR",
     "InjectedCrash",

@@ -1,4 +1,4 @@
-"""Append-only on-disk pattern library: npz shards + manifests + hash index.
+"""Append-only on-disk pattern library: npz shards + writer ledgers + hash index.
 
 The paper's end product is a large *library* of legal patterns judged by
 diversity H and legality; this module makes that library a first-class,
@@ -9,17 +9,16 @@ persistent artefact instead of an in-memory list that dies with the process:
   :meth:`~repro.squish.SquishPattern.as_arrays` codec (the same arrays
   ``SquishPattern.save`` writes, under per-pattern key prefixes), so a
   round trip is lossless and exact.
-* **Manifest** — a **v1** library records the run fingerprint (seeds and
-  knobs), one accounting record per chunk and the hash registry in a single
-  ``manifest.json``, rewritten atomically (temp file + ``os.replace``)
-  *after* its shard, so a killed run leaves at worst one orphaned shard that
-  the restart overwrites.  A **v2** library (opened with ``writer=``) splits
-  the manifest into per-writer ledger shards under ``manifests/`` merged by
-  seq order — see :mod:`repro.library.manifest` — so many runs and serve
-  workers can append to one library concurrently.
-* **Index** — v2 dedup probes go through the on-disk hash index
+* **Ledgers** — every writer records its run fingerprint (seeds and knobs)
+  and one accounting record per chunk in its own ``manifests/<writer>.json``,
+  rewritten atomically (temp file + ``os.replace``) *after* the chunk's
+  shard, so a killed run leaves at worst one orphaned shard that the restart
+  overwrites.  Readers merge the ledgers by commit seq — see
+  :mod:`repro.library.manifest` — so many runs and serve workers can append
+  to one library concurrently.
+* **Index** — dedup probes go through the on-disk hash index
   (:mod:`repro.library.index`): bloom filter + sorted hash files + sidecar
-  deltas, instead of v1's whole-manifest in-memory sets.
+  deltas.
 * **Resume** — a :class:`~repro.pipeline.GenerationGraph` run handed an
   existing library validates the fingerprint *and the shard files of every
   completed chunk*, folds the stored records into its accumulators and
@@ -30,10 +29,9 @@ persistent artefact instead of an in-memory list that dies with the process:
   delta_y)`` triple is already present, and the per-topology registry feeds
   ``num_unique_topologies`` either way.
 
-A v1 library opened without ``writer=`` behaves bit-identically to the PR 3
-format (same manifest bytes, no lock, no index files); opened *with* a
-writer it participates in the v2 merge unchanged on disk (read-side
-migration) until an explicit :meth:`PatternLibrary.compact` rewrites it.
+A legacy single-``manifest.json`` (v1) library is read-only: it takes part
+in the merge as the implicit ``legacy`` writer, unchanged on disk, until an
+explicit :meth:`PatternLibrary.compact` migrates it to a ledger.
 """
 
 from __future__ import annotations
@@ -59,18 +57,18 @@ from .index import (
     write_sidecar,
 )
 from .manifest import (
+    DEFAULT_WRITER,
     LEGACY_WRITER,
-    MANIFEST_DIR,
     ChunkRecord,
     LibraryLock,
     WriterLedger,
     atomic_write_bytes,
-    atomic_write_text,
     load_ledger,
     scan_ledgers,
     validate_writer_id,
 )
 
+#: The legacy (v1) single-writer manifest, read but never written.
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 MANIFEST_VERSION = 1
@@ -178,8 +176,8 @@ class PatternLibrary:
     Parameters
     ----------
     root:
-        Directory holding the manifest(s) and the ``shards/`` folder.
-        Created on first write; existing state is loaded eagerly.
+        Directory holding the ``manifests/`` ledgers and the ``shards/``
+        folder.  Created on first write; existing state is loaded eagerly.
     dedup:
         When ``True``, :meth:`append_chunk` skips patterns whose exact
         ``(topology, delta_x, delta_y)`` hash is already registered.  Off by
@@ -188,36 +186,29 @@ class PatternLibrary:
         value always wins on reopen — flipping the mode midway would make a
         resumed run diverge from the uninterrupted one.
     writer:
-        ``None`` (default) keeps the v1 single-writer behaviour: one
-        ``manifest.json``, in-memory hash sets, bit-identical output to
-        PR 3 — unless the library on disk already has ``manifests/`` ledger
-        shards, in which case the instance is a read-only merged view.
-        A writer id switches the library to v2 multi-writer mode: appends
-        go to this writer's own ``manifests/<writer>.json`` under the
-        advisory library lock, and dedup probes go through the on-disk
-        hash index.  A run resuming a pure-v1 library should keep
-        ``writer=None`` (its records live in ``manifest.json``).
+        The ledger this instance appends to, ``manifests/<writer>.json``
+        (default :data:`~repro.library.manifest.DEFAULT_WRITER`).  Appends
+        run under the advisory library lock and dedup probes go through the
+        on-disk hash index, so several writers can grow one library
+        concurrently; every reader sees the merged history of all writers.
+        The chunks of a legacy ``manifest.json`` belong to the ``legacy``
+        writer: :meth:`compact` migrates them, and the run that wrote them
+        resumes with ``writer="legacy"`` afterwards.
     """
 
     def __init__(
-        self, root: "str | Path", dedup: bool = False, writer: "str | None" = None
+        self, root: "str | Path", dedup: bool = False, writer: str = DEFAULT_WRITER
     ) -> None:
         self.root = Path(root)
         self.dedup = bool(dedup)
-        self.writer = validate_writer_id(writer) if writer is not None else None
+        self.writer = validate_writer_id(writer)
         self.fingerprint: dict = {}
         self.chunk_records: dict[int, ChunkRecord] = {}
-        self._pattern_hashes: set[str] = set()
-        self._topology_hashes: set[str] = set()
         self._ledgers: dict[str, WriterLedger] = {}
         self._legacy_unmigrated = False
         self._shard_cache: "OrderedDict[str, list[SquishPattern]]" = OrderedDict()
-        self._v2 = self.writer is not None or (self.root / MANIFEST_DIR).is_dir()
-        self._index: "LibraryIndex | None" = LibraryIndex(self.root) if self._v2 else None
-        if self._v2:
-            self._refresh_v2()
-        elif self.manifest_path.exists():
-            self._load_manifest()
+        self._index = LibraryIndex(self.root)
+        self._refresh()
 
     # ------------------------------------------------------------------ #
     # paths
@@ -235,17 +226,15 @@ class PatternLibrary:
         return self.root / INDEX_DIR
 
     def shard_path(self, chunk: int) -> Path:
-        if self._v2:
-            return self.shard_dir / f"shard_{self.writer}_{chunk:05d}.npz"
-        return self.shard_dir / f"shard_{chunk:05d}.npz"
+        return self.shard_dir / f"shard_{self.writer}_{chunk:05d}.npz"
 
     def _sidecar_path(self, shard_name: str) -> Path:
         return self.index_dir / sidecar_name(shard_name)
 
     # ------------------------------------------------------------------ #
-    # v2 state
+    # merged state
     # ------------------------------------------------------------------ #
-    def _refresh_v2(self) -> None:
+    def _refresh(self) -> None:
         """Re-read every ledger shard and synchronise the index delta.
 
         Called on open and at the top of every locked critical section so a
@@ -263,9 +252,10 @@ class PatternLibrary:
             ledgers[LEGACY_WRITER] = self._load_legacy_ledger()
             self._legacy_unmigrated = True
         self._ledgers = ledgers
-        own = ledgers.get(self.writer) if self.writer is not None else None
+        own = ledgers.get(self.writer)
         if own is not None:
-            # Persisted state wins, exactly like the v1 manifest reload.
+            # Persisted state wins: continuing a deduplicated run without
+            # dedup (or vice versa) would silently change what gets stored.
             self.dedup = own.dedup
             if own.fingerprint:
                 self.fingerprint = own.fingerprint
@@ -354,34 +344,34 @@ class PatternLibrary:
 
     @property
     def num_unique_topologies(self) -> int:
-        if not self._v2:
-            return len(self._topology_hashes)
         # Exact: appends are lock-serialised, so each topology is counted as
         # "introduced" by exactly one record across all writers.
         return sum(record.introduced_topologies for record in self.records_in_order())
 
     @property
     def writers(self) -> list[str]:
-        """Writer ids contributing to this library (empty for pure v1)."""
+        """Writer ids contributing to this library (``legacy`` included)."""
         return sorted(self._ledgers)
 
+    def writer_fingerprint(self, writer: str) -> dict:
+        """The run fingerprint one writer's ledger records (``{}`` if none)."""
+        ledger = self._ledgers.get(writer)
+        return ledger.fingerprint if ledger is not None else {}
+
     def completed_chunks(self) -> list[int]:
-        """This writer's completed chunk indices (all chunks for v1)."""
+        """This writer's completed chunk indices."""
         return sorted(self.chunk_records)
 
     def own_records(self) -> list[ChunkRecord]:
-        """This writer's records in chunk order (all records for v1)."""
+        """This writer's records in chunk order."""
         return [self.chunk_records[index] for index in self.completed_chunks()]
 
     def records_in_order(self) -> list[ChunkRecord]:
         """The merged chunk history, in global commit order.
 
-        For a v1 library this is the manifest's chunk order; for v2 the
-        ledger shards are merged by commit ``seq`` — a deterministic pure
+        The ledgers are merged by commit ``seq`` — a deterministic pure
         function of the on-disk state, whatever order the writers ran in.
         """
-        if not self._v2:
-            return self.own_records()
         merged = [
             record for ledger in self._ledgers.values() for record in ledger.chunks
         ]
@@ -428,23 +418,19 @@ class PatternLibrary:
             "legality": self.legality(),
         }
 
-    def index_stats(self) -> "dict | None":
-        """On-disk index accounting (``None`` for a pure v1 library)."""
-        return self._index.stats() if self._index is not None else None
+    def index_stats(self) -> dict:
+        """On-disk index accounting."""
+        return self._index.stats()
 
     # ------------------------------------------------------------------ #
     # membership probes
     # ------------------------------------------------------------------ #
     def has_pattern(self, digest: str) -> bool:
         """Is this exact ``(topology, delta_x, delta_y)`` hash stored?"""
-        if self._v2:
-            return self._index.has_pattern(digest)
-        return digest in self._pattern_hashes
+        return self._index.has_pattern(digest)
 
     def has_topology(self, digest: str) -> bool:
-        if self._v2:
-            return self._index.has_topology(digest)
-        return digest in self._topology_hashes
+        return self._index.has_topology(digest)
 
     # ------------------------------------------------------------------ #
     # run binding / resume
@@ -452,17 +438,42 @@ class PatternLibrary:
     def bind(self, fingerprint: dict, resume: bool = False) -> list[ChunkRecord]:
         """Attach a generation run to this library.
 
-        A fresh library (or a fresh writer in a v2 library) adopts
-        ``fingerprint``.  An existing one must match it exactly — resuming
-        under different seeds or knobs would silently mix incompatible
-        streams — and returns this writer's completed chunk records (empty
+        A fresh writer adopts ``fingerprint``.  An existing one must match
+        it exactly — resuming under different seeds or knobs would silently
+        mix incompatible streams — and returns this writer's completed chunk records (empty
         unless ``resume`` is set; continuing a populated library without
         ``resume=True`` is an error rather than an implicit append).  On
         resume, every returned record's shard file is validated up front so
         a missing or truncated shard surfaces as a :class:`LibraryError`
         naming the offending chunk instead of a low-level I/O error deep in
         the run.
+
+        A run whose chunks another writer's ledger holds (same
+        fingerprint) is refused under a writer with no chunks of its own —
+        it would generate those chunks again from chunk 0 — and the error
+        names the writer to resume with.  A legacy run is refused under
+        every writer while its v1 ``manifest.json`` is unmigrated; migrate
+        it with ``compact-library`` and resume with ``writer="legacy"``.
         """
+        for owner, ledger in sorted(self._ledgers.items()):
+            if not ledger.chunks or ledger.fingerprint != dict(fingerprint):
+                continue
+            unmigrated = owner == LEGACY_WRITER and self._legacy_unmigrated
+            if unmigrated or (owner != self.writer and not self.chunk_records):
+                # A damaged library cannot be resumed or migrated either:
+                # name the broken chunk first.
+                self.validate_records(ledger.chunks)
+                raise LibraryError(
+                    f"the chunks of this run in {self.root} belong to writer "
+                    f"{owner!r}; "
+                    + (
+                        "it is an unmigrated v1 manifest.json: migrate it with "
+                        f"`python -m repro compact-library {self.root}`, then "
+                        if unmigrated
+                        else ""
+                    )
+                    + f"resume with writer {owner!r} (--writer {owner})"
+                )
         if not self.fingerprint:
             self.fingerprint = dict(fingerprint)
             return []
@@ -545,26 +556,27 @@ class PatternLibrary:
     ) -> list[SquishPattern]:
         """Persist one completed chunk; returns the patterns actually stored.
 
-        The shard is written first, the manifest/ledger second (atomically),
+        The shard is written first, the writer's ledger second (atomically),
         so an interrupt between the two leaves a restartable library.
         ``record`` is mutated in place with the storage accounting
-        (``num_stored``, ``duplicates_skipped``, the introduced hashes or
-        counts, the shard name — plus ``seq``/``writer`` in v2 mode).
+        (``num_stored``, ``duplicates_skipped``, the introduced counts, the
+        shard name, ``seq`` and ``writer``).
 
-        In v2 mode the whole refresh → dedup-probe → shard write → ledger
-        commit sequence runs under the library lock, which is what makes
+        The whole refresh → dedup-probe → shard write → ledger commit
+        sequence runs under the library lock, which is what makes
         concurrent appends by many writers equivalent to the serial order
         the ``seq`` numbers record.
 
         ``record.pattern_complexities``, when set, are the canonical
-        complexities of ``patterns`` (aligned); the v2 sidecar stores them
-        for the kept patterns instead of recomputing them.
+        complexities of ``patterns`` (aligned); the sidecar stores them for
+        the kept patterns instead of recomputing them.
 
         Raises
         ------
         LibraryError
-            If ``record.chunk`` is already recorded for this writer, or the
-            library is a v2 merged view opened without a ``writer``.
+            If ``record.chunk`` is already recorded for this writer, or this
+            is the ``legacy`` writer of a library whose v1 ``manifest.json``
+            is not migrated yet.
         ValueError
             If ``record.pattern_complexities`` is set but not aligned with
             ``patterns``.
@@ -576,144 +588,99 @@ class PatternLibrary:
                 f"{len(record.pattern_complexities)} complexities for "
                 f"{len(patterns)} pattern(s)"
             )
-        if not self._v2:
-            return self._append_chunk_v1(record, patterns)
-        if self.writer is None:
-            raise LibraryError(
-                f"library at {self.root} has multi-writer ledger shards; pass "
-                "writer=<id> to append to it"
-            )
         with LibraryLock(self.root):
-            self._refresh_v2()
-            return self._append_chunk_v2(record, patterns)
-
-    def _append_chunk_v1(
-        self, record: ChunkRecord, patterns: list[SquishPattern]
-    ) -> list[SquishPattern]:
-        if record.chunk in self.chunk_records:
-            raise LibraryError(f"chunk {record.chunk} is already recorded")
-        stored = []
-        skipped = 0
-        new_pattern_hashes: list[str] = []
-        new_topology_hashes: list[str] = []
-        for pattern in patterns:
-            digest = pattern_hash(pattern)
-            if self.dedup and digest in self._pattern_hashes:
-                skipped += 1
-                continue
-            if digest not in self._pattern_hashes:
-                new_pattern_hashes.append(digest)
-                self._pattern_hashes.add(digest)
-            topo_digest = topology_hash(pattern.topology)
-            if topo_digest not in self._topology_hashes:
-                new_topology_hashes.append(topo_digest)
-                self._topology_hashes.add(topo_digest)
-            stored.append(pattern)
-        record.num_stored = len(stored)
-        record.duplicates_skipped = skipped
-        record.new_pattern_hashes = new_pattern_hashes
-        record.new_topology_hashes = new_topology_hashes
-        if stored:
-            self.shard_dir.mkdir(parents=True, exist_ok=True)
-            path = self.shard_path(record.chunk)
-            atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
-            record.shard = path.name
-        else:
-            record.shard = None
-        self.chunk_records[record.chunk] = record
-        self._write_manifest()
-        return stored
-
-    def _append_chunk_v2(
-        self, record: ChunkRecord, patterns: list[SquishPattern]
-    ) -> list[SquishPattern]:
-        """The locked body of a v2 append (state already refreshed)."""
-        if record.chunk in self.chunk_records:
-            raise LibraryError(
-                f"chunk {record.chunk} is already recorded for writer "
-                f"{self.writer!r}"
-            )
-        stored = []
-        kept_sources: list[int] = []
-        kept_clean: list[int] = []
-        kept_complexities: list[tuple[int, int]] = []
-        skipped = 0
-        new_patterns: list[str] = []
-        new_topologies: list[str] = []
-        seen_patterns: set[str] = set()
-        seen_topologies: set[str] = set()
-        for position, pattern in enumerate(patterns):
-            digest = pattern_hash(pattern)
-            known = digest in seen_patterns or self._index.has_pattern(digest)
-            if self.dedup and known:
-                skipped += 1
-                continue
-            if not known:
-                new_patterns.append(digest)
-                seen_patterns.add(digest)
-            topo_digest = topology_hash(pattern.topology)
-            if topo_digest not in seen_topologies and not self._index.has_topology(
-                topo_digest
-            ):
-                new_topologies.append(topo_digest)
-                seen_topologies.add(topo_digest)
-            stored.append(pattern)
-            if record.pattern_sources:
-                kept_sources.append(record.pattern_sources[position])
-            if record.pattern_clean:
-                kept_clean.append(record.pattern_clean[position])
-            if record.pattern_complexities:
-                kept_complexities.append(record.pattern_complexities[position])
-        record.num_stored = len(stored)
-        record.duplicates_skipped = skipped
-        record.num_new_patterns = len(new_patterns)
-        record.num_new_topologies = len(new_topologies)
-        # v2 ledgers carry counts, not hash lists — the sidecar is the
-        # durable home of the per-pattern hashes.
-        record.new_pattern_hashes = []
-        record.new_topology_hashes = []
-        record.pattern_sources = kept_sources
-        record.pattern_clean = kept_clean
-        record.pattern_complexities = []
-        record.writer = self.writer
-        record.seq = self._next_seq()
-        record.shard_start = 0
-        if stored:
-            self.shard_dir.mkdir(parents=True, exist_ok=True)
-            path = self.shard_path(record.chunk)
-            fault_point("append:shard")
-            atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
-            record.shard = path.name
-            fault_point("append:sidecar")
-            write_sidecar(
-                self._sidecar_path(record.shard),
-                sidecar_arrays(
-                    stored,
-                    sources=kept_sources or None,
-                    clean=kept_clean or None,
-                    complexities=kept_complexities or None,
-                ),
-            )
-        else:
-            record.shard = None
-        ledger = self._ledgers.get(self.writer)
-        if ledger is None:
-            ledger = WriterLedger(
-                writer=self.writer,
-                fingerprint=dict(self.fingerprint),
-                dedup=self.dedup,
-                chunks=[],
-            )
-            self._ledgers[self.writer] = ledger
-        ledger.chunks.append(record)
-        fault_point("append:ledger")
-        ledger.write(self.root)  # the commit point: seq becomes durable
-        self.chunk_records[record.chunk] = record
-        self._index.note_committed(record, seen_patterns, seen_topologies)
-        if self._index.should_flush():
-            fault_point("append:index-flush")
-            self._index.flush(self.records_in_order(), self._record_hashes)
-        return stored
+            self._refresh()
+            if self.writer == LEGACY_WRITER and self._legacy_unmigrated:
+                raise LibraryError(
+                    f"library at {self.root} holds an unmigrated v1 manifest.json; "
+                    "compact() it before appending as the legacy writer"
+                )
+            if record.chunk in self.chunk_records:
+                raise LibraryError(
+                    f"chunk {record.chunk} is already recorded for writer "
+                    f"{self.writer!r}"
+                )
+            stored = []
+            kept_sources: list[int] = []
+            kept_clean: list[int] = []
+            kept_complexities: list[tuple[int, int]] = []
+            skipped = 0
+            new_patterns: list[str] = []
+            new_topologies: list[str] = []
+            seen_patterns: set[str] = set()
+            seen_topologies: set[str] = set()
+            for position, pattern in enumerate(patterns):
+                digest = pattern_hash(pattern)
+                known = digest in seen_patterns or self._index.has_pattern(digest)
+                if self.dedup and known:
+                    skipped += 1
+                    continue
+                if not known:
+                    new_patterns.append(digest)
+                    seen_patterns.add(digest)
+                topo_digest = topology_hash(pattern.topology)
+                if topo_digest not in seen_topologies and not self._index.has_topology(
+                    topo_digest
+                ):
+                    new_topologies.append(topo_digest)
+                    seen_topologies.add(topo_digest)
+                stored.append(pattern)
+                if record.pattern_sources:
+                    kept_sources.append(record.pattern_sources[position])
+                if record.pattern_clean:
+                    kept_clean.append(record.pattern_clean[position])
+                if record.pattern_complexities:
+                    kept_complexities.append(record.pattern_complexities[position])
+            record.num_stored = len(stored)
+            record.duplicates_skipped = skipped
+            record.num_new_patterns = len(new_patterns)
+            record.num_new_topologies = len(new_topologies)
+            # Ledgers carry counts, not hash lists — the sidecar is the
+            # durable home of the per-pattern hashes.
+            record.new_pattern_hashes = []
+            record.new_topology_hashes = []
+            record.pattern_sources = kept_sources
+            record.pattern_clean = kept_clean
+            record.pattern_complexities = []
+            record.writer = self.writer
+            record.seq = self._next_seq()
+            record.shard_start = 0
+            if stored:
+                self.shard_dir.mkdir(parents=True, exist_ok=True)
+                path = self.shard_path(record.chunk)
+                fault_point("append:shard")
+                atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
+                record.shard = path.name
+                fault_point("append:sidecar")
+                write_sidecar(
+                    self._sidecar_path(record.shard),
+                    sidecar_arrays(
+                        stored,
+                        sources=kept_sources or None,
+                        clean=kept_clean or None,
+                        complexities=kept_complexities or None,
+                    ),
+                )
+            else:
+                record.shard = None
+            ledger = self._ledgers.get(self.writer)
+            if ledger is None:
+                ledger = WriterLedger(
+                    writer=self.writer,
+                    fingerprint=dict(self.fingerprint),
+                    dedup=self.dedup,
+                    chunks=[],
+                )
+                self._ledgers[self.writer] = ledger
+            ledger.chunks.append(record)
+            fault_point("append:ledger")
+            ledger.write(self.root)  # the commit point: seq becomes durable
+            self.chunk_records[record.chunk] = record
+            self._index.note_committed(record, seen_patterns, seen_topologies)
+            if self._index.should_flush():
+                fault_point("append:index-flush")
+                self._index.flush(self.records_in_order(), self._record_hashes)
+            return stored
 
     # ------------------------------------------------------------------ #
     # reading
@@ -721,9 +688,9 @@ class PatternLibrary:
     def load_chunk_patterns(self, chunk: int) -> list[SquishPattern]:
         """Load the stored patterns of one chunk (empty for shard-less chunks).
 
-        Resolves against this writer's chunks first (all chunks for v1); on
-        a merged v2 view a bare chunk index must be unambiguous across
-        writers — use :meth:`load_record_patterns` otherwise.
+        Resolves against this writer's chunks first; otherwise a bare chunk
+        index must be unambiguous across writers — use
+        :meth:`load_record_patterns` for the rest.
 
         Raises
         ------
@@ -732,7 +699,7 @@ class PatternLibrary:
             is missing/truncated.
         """
         record = self.chunk_records.get(chunk)
-        if record is None and self._v2:
+        if record is None:
             matches = [r for r in self.records_in_order() if r.chunk == chunk]
             if len(matches) > 1:
                 writers = sorted({r.writer or LEGACY_WRITER for r in matches})
@@ -822,8 +789,8 @@ class PatternLibrary:
         """Indexed pattern lookup returning lazy :class:`PatternHandle`\\ s.
 
         Filters compose (AND); none loads a shard — selection runs entirely
-        over the index sidecars (or, for an unmigrated v1 record, a one-off
-        in-memory recomputation that is never written back):
+        over the index sidecars (or, for an unmigrated legacy record, a
+        one-off in-memory recomputation that is never written back):
 
         * ``complexity_band=(lo, hi)`` — inclusive band on the canonical
           total complexity ``cx + cy`` (either bound may be ``None``).
@@ -834,9 +801,8 @@ class PatternLibrary:
           definite misses without touching any sidecar.
         * ``writer`` — restrict to one writer's chunks.
         """
-        if topology_hash is not None and self._v2:
-            if not self._index.has_topology(topology_hash):
-                return []
+        if topology_hash is not None and not self._index.has_topology(topology_hash):
+            return []
         lo, hi = (None, None) if complexity_band is None else complexity_band
         handles: list[PatternHandle] = []
         for record in self.records_in_order():
@@ -844,8 +810,8 @@ class PatternLibrary:
                 continue
             if writer is not None and (record.writer or LEGACY_WRITER) != writer:
                 continue
-            if rule_regime is not None and not self._regime_matches(
-                record, rule_regime
+            if rule_regime is not None and rule_regime not in json.dumps(
+                self.writer_fingerprint(record.writer or LEGACY_WRITER), sort_keys=True
             ):
                 continue
             meta = self._record_metadata(record)
@@ -879,14 +845,6 @@ class PatternLibrary:
                     )
                 )
         return handles
-
-    def _regime_matches(self, record: ChunkRecord, rule_regime: str) -> bool:
-        if self._v2:
-            ledger = self._ledgers.get(record.writer or LEGACY_WRITER)
-            fingerprint = ledger.fingerprint if ledger is not None else {}
-        else:
-            fingerprint = self.fingerprint
-        return rule_regime in json.dumps(fingerprint, sort_keys=True)
 
     def _load_handle(self, handle: PatternHandle) -> SquishPattern:
         patterns = self._shard_patterns(handle.record.shard)
@@ -936,10 +894,7 @@ class PatternLibrary:
         deleted only after every ledger has been rewritten.
         """
         with LibraryLock(self.root):
-            self._v2 = True
-            if self._index is None:
-                self._index = LibraryIndex(self.root)
-            self._refresh_v2()
+            self._refresh()
             drop = self.dedup if drop_duplicates is None else bool(drop_duplicates)
             records = self.records_in_order()
             report = CompactionReport(records=len(records))
@@ -1091,7 +1046,7 @@ class PatternLibrary:
                     stale.unlink(missing_ok=True)
             fault_point("compact:index-rebuild")
             self._index.rebuild(self.records_in_order(), self._record_hashes)
-            self._refresh_v2()
+            self._refresh()
             report.shards_after = len(
                 {r.shard for r in self.records_in_order() if r.shard is not None}
             )
@@ -1153,32 +1108,15 @@ class PatternLibrary:
 
     def rebuild_index(self) -> dict:
         """Regenerate the on-disk index from the ledgers/shards (locked)."""
-        if not self._v2:
-            raise LibraryError(
-                "a pure v1 library has no on-disk index; open it with "
-                "writer=<id> or compact() it first"
-            )
         with LibraryLock(self.root):
-            self._refresh_v2()
+            self._refresh()
             self._index.rebuild(self.records_in_order(), self._record_hashes)
-            self._refresh_v2()
+            self._refresh()
             return self._index.stats()
 
     # ------------------------------------------------------------------ #
-    # manifest plumbing (v1)
+    # legacy (v1) manifest, read-only
     # ------------------------------------------------------------------ #
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": MANIFEST_VERSION,
-            "fingerprint": self.fingerprint,
-            "dedup": self.dedup,
-            "chunks": [record.as_dict() for record in self.own_records()],
-        }
-        atomic_write_text(
-            self.manifest_path, json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        )
-
     def _read_manifest_payload(self) -> dict:
         try:
             payload = json.loads(self.manifest_path.read_text())
@@ -1192,23 +1130,6 @@ class PatternLibrary:
                 f"{payload.get('version')!r} (expected {MANIFEST_VERSION})"
             )
         return payload
-
-    def _load_manifest(self) -> None:
-        payload = self._read_manifest_payload()
-        self.fingerprint = payload.get("fingerprint", {})
-        # The persisted mode wins: continuing a deduplicated library without
-        # dedup (or vice versa) would silently change what gets stored.
-        self.dedup = bool(payload.get("dedup", self.dedup))
-        self.chunk_records = {
-            record["chunk"]: ChunkRecord.from_dict(record)
-            for record in payload.get("chunks", [])
-        }
-        # The hash registry is the union of every chunk's contribution.
-        self._pattern_hashes = set()
-        self._topology_hashes = set()
-        for record in self.chunk_records.values():
-            self._pattern_hashes.update(record.new_pattern_hashes)
-            self._topology_hashes.update(record.new_topology_hashes)
 
 
 # --------------------------------------------------------------------------- #

@@ -393,7 +393,6 @@ class DiffPatternPipeline:
         num_solutions: int = 1,
         rng: "int | np.random.Generator | None" = None,
         workers: "int | None" = None,
-        stream: bool = True,
         chunk_size: "int | None" = None,
         retain_topologies: bool = True,
         library=None,
@@ -401,13 +400,11 @@ class DiffPatternPipeline:
     ) -> GenerationResult:
         """Sample, prefilter, legalise and score through the stage graph.
 
-        ``stream=False`` is the thin wrapper over the old monolithic path:
-        one graph chunk spanning the whole run (sample everything, then
-        assess everything).  Both paths produce element-wise identical
-        results; streaming only bounds memory and overlaps the stages.
+        The output is element-wise identical for any ``chunk_size``; it
+        only bounds memory and overlaps the stages.  ``chunk_size=
+        num_generated`` is the single-barrier run (sample everything, then
+        assess everything).
         """
-        if not stream:
-            chunk_size = num_generated
         graph = self.generation_graph(
             chunk_size=chunk_size,
             num_solutions=num_solutions,
@@ -430,18 +427,17 @@ class DiffPatternPipeline:
         num_solutions: int = 1,
         train_iterations: "int | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        stream: bool = True,
         chunk_size: "int | None" = None,
         library=None,
         resume: bool = False,
     ) -> GenerationResult:
         """Full pipeline: data -> train -> stream(sample -> legalise) -> metrics.
 
-        Generation runs through the streaming stage graph; ``stream=False``
-        keeps the old single-barrier behaviour (identical output, unbounded
-        memory).  Pass ``library`` (a :class:`~repro.library.PatternLibrary`)
-        to persist every completed chunk, and ``resume=True`` to continue a
-        killed run from its manifest without re-generating finished chunks.
+        Generation runs through the streaming stage graph in chunks of
+        ``chunk_size`` (identical output for any value).  Pass ``library``
+        (a :class:`~repro.library.PatternLibrary`) to persist every
+        completed chunk, and ``resume=True`` to continue a killed run from
+        its ledger without re-generating finished chunks.
 
         One generator seeded from ``rng`` (``config.seed`` by default)
         drives data synthesis, training and generation in sequence, so a
@@ -467,7 +463,6 @@ class DiffPatternPipeline:
             num_generated,
             num_solutions=num_solutions,
             rng=gen,
-            stream=stream,
             chunk_size=chunk_size,
             library=library,
             resume=resume,

@@ -161,7 +161,6 @@ def measure_streamed_generation(
     chunk_size: "int | None" = None,
     num_solutions: int = 1,
     rng: "int | np.random.Generator | None" = 0,
-    stream: bool = True,
     retain_topologies: bool = True,
     workers: "int | None" = None,
     library=None,
@@ -169,7 +168,7 @@ def measure_streamed_generation(
 ) -> StreamingMeasurement:
     """Measure one end-to-end generation run through the stage graph.
 
-    ``stream=False`` measures the monolithic single-chunk path, so calling
+    ``chunk_size=num_generated`` measures the single-chunk path, so calling
     this twice gives the streaming-vs-batch wall-clock and peak-allocation
     comparison the streaming benchmark gates.  The Python-heap peak is
     tracked with :mod:`tracemalloc` (resident-set peaks are monotone per
@@ -185,7 +184,6 @@ def measure_streamed_generation(
             num_solutions=num_solutions,
             rng=rng,
             workers=workers,
-            stream=stream,
             chunk_size=chunk_size,
             retain_topologies=retain_topologies,
             library=library,

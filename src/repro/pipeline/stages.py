@@ -397,12 +397,11 @@ class GenerationGraph:
         accumulated incrementally either way).
     library:
         Optional :class:`~repro.library.PatternLibrary`.  Every completed
-        chunk is persisted (shard + manifest record); with ``resume=True``
-        chunks already in the manifest are folded from disk instead of
-        re-generated.  A library opened with ``writer=<id>`` appends under
-        the shared library lock, so several graphs (or serve workers) can
-        grow one library concurrently — each run resumes against its own
-        writer ledger.
+        chunk is persisted (shard + ledger record) under the library's
+        writer id and the shared library lock, so several graphs (or serve
+        workers) can grow one library concurrently; with ``resume=True``
+        chunks already in this writer's ledger are folded from disk instead
+        of re-generated.
     on_chunk:
         Optional callback invoked with each live :class:`StreamChunk` right
         after it has been folded into the run (and, when a library is

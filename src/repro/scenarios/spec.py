@@ -27,7 +27,7 @@ A specification is a small nested mapping with a fixed schema::
         "sampling":  {"steps": ...},        # 0 = walk the full chain
 
         "run":       {"num_generated": ..., "num_solutions": ..., "seed": ...,
-                      "stream": ..., "dedup": ..., "retain_topologies": ...},
+                      "dedup": ..., "retain_topologies": ...},
     }
 
 Unknown sections and unknown keys raise :class:`ScenarioError` immediately —
@@ -38,8 +38,8 @@ scenario files.
 
 :meth:`ScenarioSpec.lower` turns a (resolved) specification into a
 :class:`RunPlan`: a fully-built :class:`~repro.pipeline.DiffPatternConfig`
-plus the run-shaping values (`num_generated`, `num_solutions`, seed, stream
-and dedup flags) that live outside the config object.
+plus the run-shaping values (`num_generated`, `num_solutions`, seed and the
+dedup flag) that live outside the config object.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ _RUN_KEYS = (
     "num_generated",
     "num_solutions",
     "seed",
-    "stream",
     "dedup",
     "retain_topologies",
 )
@@ -357,7 +356,6 @@ class ScenarioSpec:
                 num_generated=int(run.get("num_generated", 32)),
                 num_solutions=int(run.get("num_solutions", 1)),
                 seed=int(run.get("seed", config.seed)),
-                stream=bool(run.get("stream", True)),
                 dedup=bool(run.get("dedup", False)),
                 retain_topologies=bool(run.get("retain_topologies", True)),
             )
@@ -384,7 +382,6 @@ class RunPlan:
     num_generated: int
     num_solutions: int
     seed: int
-    stream: bool
     dedup: bool
     retain_topologies: bool
 
@@ -400,8 +397,7 @@ class RunPlan:
             f"  diffusion        {cfg.diffusion.num_steps} steps, "
             f"{cfg.train_iterations} training iterations",
             f"  generation       {self.num_generated} topologies x "
-            f"{self.num_solutions} solution(s), seed {self.seed}, "
-            f"{'streamed' if self.stream else 'batch'}",
+            f"{self.num_solutions} solution(s), seed {self.seed}",
             f"  engine           sample_batch={cfg.sample_batch_size}, "
             f"workers={cfg.workers}, stream_chunk={cfg.stream_chunk_size}, "
             f"solver={cfg.solver_mode}, "

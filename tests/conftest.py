@@ -14,6 +14,13 @@ import pytest
 from repro.data import DatasetConfig, LayoutPatternDataset, SyntheticLayoutGenerator
 from repro.legalization import DesignRules
 from repro.pipeline import DiffPatternConfig, DiffPatternPipeline
+from v1_fixture import copy_v1_library
+
+
+@pytest.fixture
+def v1_library(tmp_path):
+    """A private copy of the committed v1 library (tests may mutate it)."""
+    return copy_v1_library(tmp_path)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.library import PatternLibrary
+from v1_fixture import file_tree
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,9 @@ def generated_library(tmp_path_factory, smoke_args):
 
 class TestGenerate:
     def test_writes_resumable_library(self, generated_library):
-        assert (generated_library / "manifest.json").exists()
+        # No --writer: the run appends as the default writer's ledger.
+        assert (generated_library / "manifests" / "main.json").exists()
+        assert not (generated_library / "manifest.json").exists()
         library = PatternLibrary(generated_library)
         assert library.num_chunks == 2               # 6 samples / chunks of 4
         assert library.fingerprint["num_samples"] == 6
@@ -61,6 +64,12 @@ class TestGenerate:
         assert code == 1
         assert "--out" in capsys.readouterr().err
 
+    def test_batch_flag_is_gone(self):
+        # --chunk-size N with N = --generate is the single-barrier run.
+        for command in ("generate", "resume"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--scenario", "smoke", "--batch"])
+
 
 class TestInspectLibrary:
     def test_reads_back_summary_and_chunks(self, generated_library, capsys):
@@ -69,10 +78,29 @@ class TestInspectLibrary:
         out = capsys.readouterr().out
         library = PatternLibrary(generated_library)
         assert f"patterns           {library.num_patterns}" in out
-        assert "fingerprint:" in out
+        assert "v2 (sharded, 1 writer(s))" in out
+        assert "fingerprint: main" in out
         assert "shard" in out                        # chunk table header
         for record in library.records_in_order():
             assert f"\n{record.chunk:>5} " in out
+
+    def test_layout_of_v1_library_before_and_after_migration(self, v1_library, capsys):
+        before = file_tree(v1_library)
+        assert main(["inspect-library", str(v1_library), "--chunks", "--band", "0:"]) == 0
+        out = capsys.readouterr().out
+        assert "v1 (unmigrated; run compact-library)" in out
+        assert "patterns           8" in out
+        assert "fingerprint: legacy" in out
+        assert "query matched 8 pattern(s)" in out
+        for chunk in range(3):
+            assert f"\n{chunk:>5} {chunk:>5} {'legacy':>14} " in out
+        assert file_tree(v1_library) == before          # reading wrote nothing
+        assert main(["compact-library", str(v1_library)]) == 0
+        capsys.readouterr()
+        assert main(["inspect-library", str(v1_library)]) == 0
+        out = capsys.readouterr().out
+        assert "v2 (sharded, 1 writer(s))" in out
+        assert "unmigrated" not in out
 
     def test_missing_library_is_a_clean_error(self, tmp_path, capsys):
         code = main(["inspect-library", str(tmp_path / "nope")])

@@ -2,8 +2,9 @@
 
 The central property the index must uphold: for any append sequence, the
 sidecar/bloom/mmap probe path produces **bit-equal dedup decisions** to the
-v1 in-memory hash sets.  Hypothesis drives randomized chunk sequences with
-heavy hash collisions; oracles are plain Python sets and list scans.
+in-memory hash sets the v1 store kept (re-implemented here as the oracle).
+Hypothesis drives randomized chunk sequences with heavy hash collisions;
+oracles are plain Python sets and list scans.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.library import ChunkRecord, PatternLibrary, pattern_hash
+from repro.library import ChunkRecord, PatternLibrary, pattern_hash, topology_hash
 from repro.metrics import pattern_complexity
 from repro.squish import SquishPattern
 
@@ -68,19 +69,39 @@ def append_plan(root: Path, plan, writer):
     return library, decisions
 
 
+def v1_in_memory_sets(plan):
+    """The v1 store's dedup: one pattern-hash and one topology-hash set.
+
+    Returns the per-chunk ``(stored, skipped)`` decisions, the stored
+    pattern hashes in order and the unique-topology count.
+    """
+    pattern_hashes: set[str] = set()
+    topology_hashes: set[str] = set()
+    decisions, stored = [], []
+    for fills in plan:
+        kept = 0
+        for pattern in (make_pattern(f) for f in fills):
+            digest = pattern_hash(pattern)
+            if digest in pattern_hashes:
+                continue
+            pattern_hashes.add(digest)
+            topology_hashes.add(topology_hash(pattern.topology))
+            stored.append(digest)
+            kept += 1
+        decisions.append((kept, len(fills) - kept))
+    return decisions, stored, len(topology_hashes)
+
+
 class TestDedupEquivalence:
     @SETTINGS
     @given(chunk_plans)
     def test_indexed_dedup_equals_v1_in_memory_sets(self, plan):
         with tempfile.TemporaryDirectory() as scratch:
-            scratch = Path(scratch)
-            v1, v1_decisions = append_plan(scratch / "v1", plan, writer=None)
-            v2, v2_decisions = append_plan(scratch / "v2", plan, writer="w")
-            assert v2_decisions == v1_decisions
-            assert [pattern_hash(p) for p in v2.load_patterns()] == [
-                pattern_hash(p) for p in v1.load_patterns()
-            ]
-            assert v2.num_unique_topologies == v1.num_unique_topologies
+            library, decisions = append_plan(Path(scratch), plan, writer="w")
+            v1_decisions, v1_stored, v1_topologies = v1_in_memory_sets(plan)
+            assert decisions == v1_decisions
+            assert [pattern_hash(p) for p in library.load_patterns()] == v1_stored
+            assert library.num_unique_topologies == v1_topologies
 
     @SETTINGS
     @given(chunk_plans)

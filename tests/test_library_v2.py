@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.library import (
+    DEFAULT_WRITER,
     LEGACY_WRITER,
     MANIFEST_DIR,
     BloomFilter,
@@ -26,6 +27,7 @@ from repro.library.manifest import (
     validate_writer_id,
 )
 from repro.squish import SquishPattern
+from v1_fixture import copy_v1_library, file_tree
 
 
 def make_pattern(fill: int, size: int = 4, step: int = 32) -> SquishPattern:
@@ -163,12 +165,16 @@ class TestMultiWriter:
             r.duplicates_skipped for r in serial.records_in_order()
         )
 
-    def test_merged_view_rejects_append_without_writer(self, tmp_path):
+    def test_default_writer_appends_beside_other_writers(self, tmp_path):
         fill_writer(tmp_path, "alpha", [1])
-        merged = PatternLibrary(tmp_path)
+        library = PatternLibrary(tmp_path)
+        assert library.writer == DEFAULT_WRITER
         patterns = [make_pattern(7)]
-        with pytest.raises(LibraryError, match="writer"):
-            merged.append_chunk(make_record(9, patterns), patterns)
+        record = make_record(9, patterns)
+        library.append_chunk(record, patterns)
+        assert (record.writer, record.seq) == (DEFAULT_WRITER, 1)
+        assert (tmp_path / MANIFEST_DIR / f"{DEFAULT_WRITER}.json").exists()
+        assert PatternLibrary(tmp_path, writer="alpha").writers == ["alpha", DEFAULT_WRITER]
 
     def test_histogram_and_summary_cover_all_writers(self, tmp_path):
         fill_writer(tmp_path, "alpha", [1, 2])
@@ -179,48 +185,105 @@ class TestMultiWriter:
 
 
 class TestV1Compat:
-    def test_v1_output_is_unchanged_without_writer(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(3)]
-        library = PatternLibrary(tmp_path, dedup=True)
-        library.append_chunk(make_record(0, patterns), patterns)
-        assert not (tmp_path / MANIFEST_DIR).exists()
-        payload = json.loads((tmp_path / "manifest.json").read_text())
-        assert payload["version"] == 1
-        (record,) = payload["chunks"]
-        # byte-compatible v1 schema: no v2-only keys leak into the manifest
-        assert "seq" not in record and "writer" not in record
-        assert record["new_pattern_hashes"]  # v1 keeps inline hash lists
+    """The committed v1 library (``tests/data/v1_library``) read in place."""
 
-    def test_v1_library_readable_as_merged_view(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(4)]
-        v1 = PatternLibrary(tmp_path, dedup=True)
-        v1.append_chunk(make_record(0, patterns[:2]), patterns[:2])
-        v1.append_chunk(make_record(1, patterns[2:]), patterns[2:])
-        reread = PatternLibrary(tmp_path)
-        assert reread.num_patterns == 4
-        assert reread.load_patterns()  # loads through the v1 shard names
+    def test_v1_library_readable_as_merged_view(self, v1_library):
+        reread = PatternLibrary(v1_library)
+        assert reread.writers == [LEGACY_WRITER]
+        assert reread.num_chunks == 3
+        assert reread.num_patterns == 8
+        assert reread.num_unique_topologies == 4
+        assert reread.dedup is True
+        # With dedup on every stored pattern was new, so the manifest's
+        # introduced-hash lists in chunk order are the stored order.
+        expected = [
+            digest
+            for chunk in json.loads((v1_library / "manifest.json").read_text())["chunks"]
+            for digest in chunk["new_pattern_hashes"]
+        ]
+        assert [pattern_hash(p) for p in reread.load_patterns()] == expected
+        assert [pattern_hash(p) for p in reread.load_chunk_patterns(1)] == expected[2:6]
+        assert sum(r.duplicates_skipped for r in reread.records_in_order()) == 2
 
-    def test_v1_library_joined_by_new_writer(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(2)]
-        v1 = PatternLibrary(tmp_path, dedup=True)
-        v1.append_chunk(make_record(0, patterns), patterns)
-        joined = fill_writer(tmp_path, "late", [1, 7], dedup=True)
-        # pattern 1 already exists in the legacy manifest -> deduplicated
-        assert joined.num_patterns == 3
-        merged = PatternLibrary(tmp_path)
+    def test_reading_writes_nothing(self, v1_library):
+        before = file_tree(v1_library)
+        library = PatternLibrary(v1_library)
+        library.summary()
+        library.index_stats()
+        handles = library.query()
+        assert len(handles) == 8
+        handles[0].load()
+        library.query(complexity_band=(0, 20), rule_regime="space_min")
+        library.query(topology_hash=handles[0].topology_hash)
+        library.load_patterns()
+        assert file_tree(v1_library) == before
+
+    def test_v1_library_joined_by_new_writer(self, v1_library):
+        stored = PatternLibrary(v1_library).load_patterns()
+        fresh = stored[0].with_geometry(stored[0].delta_x + 8, stored[0].delta_y)
+        joined = PatternLibrary(v1_library, dedup=True, writer="late")
+        batch = [stored[3], fresh]
+        record = make_record(0, batch)
+        joined.append_chunk(record, batch)
+        # stored[3] already exists in the legacy manifest -> deduplicated
+        assert (record.num_stored, record.duplicates_skipped) == (1, 1)
+        assert joined.num_patterns == 9
+        merged = PatternLibrary(v1_library)
         assert {r.writer for r in merged.records_in_order()} == {LEGACY_WRITER, "late"}
         # joining never rewrites the legacy manifest itself
-        assert (tmp_path / "manifest.json").exists()
+        assert (v1_library / "manifest.json").exists()
+        assert not (v1_library / MANIFEST_DIR / f"{LEGACY_WRITER}.json").exists()
 
-    def test_legacy_records_keep_seq_order_before_new_writers(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(2)]
-        v1 = PatternLibrary(tmp_path)
-        v1.append_chunk(make_record(0, patterns[:1]), patterns[:1])
-        v1.append_chunk(make_record(1, patterns[1:]), patterns[1:])
-        fill_writer(tmp_path, "late", [7])
-        merged = PatternLibrary(tmp_path)
+    def test_legacy_records_keep_seq_order_before_new_writers(self, v1_library):
+        fill_writer(v1_library, "late", [7])
+        merged = PatternLibrary(v1_library)
         order = [(r.writer, r.seq) for r in merged.records_in_order()]
-        assert order == [(LEGACY_WRITER, 0), (LEGACY_WRITER, 1), ("late", 2)]
+        assert order == [
+            (LEGACY_WRITER, 0), (LEGACY_WRITER, 1), (LEGACY_WRITER, 2), ("late", 3)
+        ]
+
+
+class TestLegacyResume:
+    """A v1 run is resumed only as the legacy writer, and only once migrated."""
+
+    def test_unmigrated_v1_resume_is_refused(self, v1_library):
+        before = file_tree(v1_library)
+        fingerprint = PatternLibrary(v1_library).writer_fingerprint(LEGACY_WRITER)
+        assert fingerprint
+        for writer in (DEFAULT_WRITER, LEGACY_WRITER, "other"):
+            for resume in (True, False):
+                library = PatternLibrary(v1_library, writer=writer)
+                with pytest.raises(LibraryError, match="compact-library"):
+                    library.bind(fingerprint, resume=resume)
+        assert file_tree(v1_library) == before
+
+    def test_migrated_v1_resumes_only_as_legacy(self, v1_library):
+        fingerprint = PatternLibrary(v1_library).writer_fingerprint(LEGACY_WRITER)
+        PatternLibrary(v1_library).compact()
+        with pytest.raises(LibraryError, match="--writer legacy"):
+            PatternLibrary(v1_library).bind(fingerprint, resume=True)
+        legacy = PatternLibrary(v1_library, writer=LEGACY_WRITER)
+        records = legacy.bind(fingerprint, resume=True)
+        assert [r.chunk for r in records] == [0, 1, 2]
+        # The run continues with its next chunk; nothing is generated twice.
+        patterns = [make_pattern(9)]
+        legacy.append_chunk(make_record(3, patterns), patterns)
+        merged = PatternLibrary(v1_library)
+        assert [(r.writer, r.chunk) for r in merged.records_in_order()] == [
+            (LEGACY_WRITER, chunk) for chunk in range(4)
+        ]
+        assert merged.num_patterns == 9
+
+    def test_other_runs_may_join_an_unmigrated_v1_library(self, v1_library):
+        library = PatternLibrary(v1_library)
+        assert library.bind({"seed": 1}, resume=True) == []
+
+    def test_legacy_writer_cannot_append_before_migration(self, v1_library):
+        library = PatternLibrary(v1_library, writer=LEGACY_WRITER)
+        patterns = [make_pattern(9)]
+        with pytest.raises(LibraryError, match="unmigrated"):
+            library.append_chunk(make_record(3, patterns), patterns)
+        assert not (v1_library / MANIFEST_DIR).exists()
 
 
 class TestQuery:
@@ -264,12 +327,18 @@ class TestQuery:
             assert pattern_hash(pattern) == handle.pattern_hash
             assert topology_hash(pattern.topology) == handle.topology_hash
 
-    def test_query_on_v1_library(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(3)]
-        v1 = PatternLibrary(tmp_path)
-        v1.append_chunk(make_record(0, patterns), patterns)
-        handles = v1.query(topology_hash=topology_hash(patterns[1].topology))
-        assert [h.pattern_hash for h in handles] == [pattern_hash(patterns[1])]
+    def test_query_on_v1_library(self, v1_library):
+        v1 = PatternLibrary(v1_library)
+        patterns = v1.load_patterns()
+        digest = topology_hash(patterns[2].topology)
+        handles = v1.query(topology_hash=digest)
+        assert [h.pattern_hash for h in handles] == [
+            pattern_hash(p) for p in patterns if topology_hash(p.topology) == digest
+        ]
+        assert v1.query(topology_hash="f" * 40) == []
+        assert len(v1.query(rule_regime="space_min")) == 8
+        assert v1.query(rule_regime="no-such-rule") == []
+        assert len(v1.query(writer=LEGACY_WRITER)) == 8
 
 
 class TestIndex:
@@ -304,12 +373,17 @@ class TestIndex:
         stats = reread.rebuild_index()
         assert stats["merged_patterns"] == reread.num_patterns
 
-    def test_rebuild_index_refuses_pure_v1(self, tmp_path):
-        patterns = [make_pattern(0)]
-        v1 = PatternLibrary(tmp_path)
-        v1.append_chunk(make_record(0, patterns), patterns)
-        with pytest.raises(LibraryError, match="v1"):
-            v1.rebuild_index()
+    def test_rebuild_index_covers_unmigrated_v1(self, v1_library):
+        v1 = PatternLibrary(v1_library)
+        stats = v1.rebuild_index()
+        assert stats["covered_seq"] == 2
+        assert stats["merged_patterns"] == 8
+        assert stats["merged_topologies"] == 4
+        # The index is derived data: the manifest stays unmigrated.
+        assert (v1_library / "manifest.json").exists()
+        assert not (v1_library / MANIFEST_DIR).exists()
+        reread = PatternLibrary(v1_library)
+        assert all(reread.has_pattern(pattern_hash(p)) for p in reread.load_patterns())
 
     def test_second_process_sees_new_appends(self, tmp_path):
         first = fill_writer(tmp_path, "alpha", [1, 2], dedup=True)
@@ -353,19 +427,23 @@ class TestCompaction:
         hashes = [pattern_hash(p) for p in library.load_patterns()]
         assert hashes == [pattern_hash(make_pattern(f)) for f in [1, 2, 3]]
 
-    def test_migrates_v1_library(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(4)]
-        v1 = PatternLibrary(tmp_path, dedup=True)
-        v1.append_chunk(make_record(0, patterns[:2]), patterns[:2])
-        v1.append_chunk(make_record(1, patterns[2:]), patterns[2:])
+    def test_migrates_v1_library(self, v1_library):
+        v1 = PatternLibrary(v1_library)
         before = [pattern_hash(p) for p in v1.load_patterns()]
-        report = PatternLibrary(tmp_path).compact(target_shard_patterns=16)
-        assert report.migrated == 2
-        assert not (tmp_path / "manifest.json").exists()
-        assert (tmp_path / MANIFEST_DIR / f"{LEGACY_WRITER}.json").exists()
-        migrated = PatternLibrary(tmp_path)
+        summary = v1.summary()
+        report = PatternLibrary(v1_library).compact(target_shard_patterns=16)
+        assert report.migrated == 3
+        assert (report.shards_before, report.shards_after) == (3, 1)
+        assert report.patterns_dropped == 0
+        assert not (v1_library / "manifest.json").exists()
+        assert (v1_library / MANIFEST_DIR / f"{LEGACY_WRITER}.json").exists()
+        migrated = PatternLibrary(v1_library)
         assert [pattern_hash(p) for p in migrated.load_patterns()] == before
-        assert migrated.num_unique_topologies == v1.num_unique_topologies
+        assert migrated.summary() == summary
+        assert [(r.seq, r.chunk, r.num_new_patterns, r.num_new_topologies)
+                for r in migrated.records_in_order()] == [
+            (0, 0, 2, 1), (1, 1, 4, 2), (2, 2, 2, 1)
+        ]
 
     def test_keeps_big_exclusive_shards_in_place(self, tmp_path):
         library = fill_writer(tmp_path, "alpha", list(range(6)), chunk_size=6)
@@ -394,39 +472,59 @@ class TestCompaction:
 
 
 class TestResumeValidation:
-    def _library_with_chunks(self, tmp_path, writer=None):
+    def _library_with_chunks(self, tmp_path, writer):
+        """``(library, fingerprint, records)`` of a library with completed
+        chunks: ``writer=None`` is a copy of the committed v1 library (its
+        chunks belong to the legacy writer), otherwise two chunks appended
+        by ``writer``."""
+        if writer is None:
+            library = PatternLibrary(copy_v1_library(tmp_path))
+            fingerprint = library.writer_fingerprint(LEGACY_WRITER)
+            return library, fingerprint, library.records_in_order()
         library = PatternLibrary(tmp_path, dedup=True, writer=writer)
         library.bind({"seed": 7})
         for chunk in range(2):
             patterns = [make_pattern(chunk * 2 + i) for i in range(2)]
             library.append_chunk(make_record(chunk, patterns), patterns)
-        return library
+        return library, {"seed": 7}, library.own_records()
 
     @pytest.mark.parametrize("writer", [None, "alpha"])
     def test_missing_shard_names_offending_chunk(self, tmp_path, writer):
-        library = self._library_with_chunks(tmp_path, writer)
-        shard = library.shard_dir / library.own_records()[1].shard
-        shard.unlink()
-        reopened = PatternLibrary(tmp_path, dedup=True, writer=writer)
+        library, fingerprint, records = self._library_with_chunks(tmp_path, writer)
+        (library.shard_dir / records[1].shard).unlink()
+        reopened = PatternLibrary(library.root, dedup=True, writer=writer or DEFAULT_WRITER)
         with pytest.raises(LibraryError, match=r"chunk 1: shard .* is\s+missing"):
-            reopened.bind({"seed": 7}, resume=True)
+            reopened.bind(fingerprint, resume=True)
 
     @pytest.mark.parametrize("writer", [None, "alpha"])
     def test_truncated_shard_names_offending_chunk(self, tmp_path, writer):
-        library = self._library_with_chunks(tmp_path, writer)
-        shard = library.shard_dir / library.own_records()[0].shard
+        library, fingerprint, records = self._library_with_chunks(tmp_path, writer)
+        shard = library.shard_dir / records[0].shard
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2])
-        reopened = PatternLibrary(tmp_path, dedup=True, writer=writer)
+        reopened = PatternLibrary(library.root, dedup=True, writer=writer or DEFAULT_WRITER)
         with pytest.raises(LibraryError, match="chunk 0"):
-            reopened.bind({"seed": 7}, resume=True)
+            reopened.bind(fingerprint, resume=True)
 
     @pytest.mark.parametrize("writer", [None, "alpha"])
     def test_intact_library_resumes(self, tmp_path, writer):
-        self._library_with_chunks(tmp_path, writer)
-        reopened = PatternLibrary(tmp_path, dedup=True, writer=writer)
-        records = reopened.bind({"seed": 7}, resume=True)
-        assert [r.chunk for r in records] == [0, 1]
+        library, fingerprint, records = self._library_with_chunks(tmp_path, writer)
+        if writer is None:
+            # A v1 run resumes as the legacy writer once migrated.
+            library.compact()
+            writer = LEGACY_WRITER
+        reopened = PatternLibrary(library.root, dedup=True, writer=writer)
+        resumed = reopened.bind(fingerprint, resume=True)
+        assert [r.chunk for r in resumed] == [r.chunk for r in records]
+
+
+    def test_run_of_another_writer_resumes_only_under_it(self, tmp_path):
+        _, fingerprint, _ = self._library_with_chunks(tmp_path, "alpha")
+        # Under a fresh writer the run would start again from chunk 0.
+        with pytest.raises(LibraryError, match="--writer alpha"):
+            PatternLibrary(tmp_path).bind(fingerprint, resume=True)
+        # A different run may still join the library.
+        assert PatternLibrary(tmp_path, writer="beta").bind({"seed": 8}, resume=True) == []
 
 
 class TestStreaming:

@@ -31,6 +31,12 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="space_mim"):
             ScenarioSpec.from_dict("bad", {"rules": {"space_mim": 32}})
 
+    def test_run_stream_key_rejected(self):
+        # chunk_size=num_generated is the single-barrier run; the key that
+        # chose it is gone and an old scenario file naming it fails loudly.
+        with pytest.raises(ScenarioError, match="stream"):
+            ScenarioSpec.from_dict("bad", {"run": {"stream": False}})
+
     def test_non_mapping_section_rejected(self):
         with pytest.raises(ScenarioError, match="must be a mapping"):
             ScenarioSpec.from_dict("bad", {"rules": 32})
